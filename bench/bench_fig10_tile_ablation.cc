@@ -7,16 +7,20 @@
  * tiles inflate DSP via address generation; throughput correlates
  * positively with tile size at large parallel factors.
  *
- * Each point is an independent full compile, so the sweep runs on the
- * sharded DSE engine: every worker builds and compiles its own modules,
+ * Each point is an independent full compile, run as an exhaustive
+ * runStrategySweep: every worker builds and compiles its own modules,
  * and results are printed in grid order — identical output at any
- * HIDA_BENCH_THREADS.
+ * HIDA_BENCH_THREADS (pinned by the bench_fig10_tile_ablation_golden_*
+ * ctests). A point that fails to compile, or a worker that dies, fails
+ * the bench (exit 1) instead of printing a partial figure.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "src/driver/driver.h"
-#include "src/dse/sweep.h"
+#include "src/dse/strategy.h"
 #include "src/models/dnn_models.h"
 
 using namespace hida;
@@ -29,18 +33,45 @@ main()
     grid.addAxis("pf", {1, 4, 16, 64, 256});
     grid.addAxis("tile", {2, 4, 8, 16, 32});
 
-    std::vector<CompileResult> results = ShardedSweep::run<CompileResult>(
-        grid,
+    StrategyOptions exhaustive;  // Every point, in HIDA_DSE_ORDER order.
+    exhaustive.order = sweepScheduleFromEnv().order;
+    std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, exhaustive);
+    StrategyOutcome<CompileResult> outcome = runStrategySweep<CompileResult>(
+        grid, *strategy,
         [&]() {
-            return [&device](size_t, const std::vector<int64_t>& vals) {
+            ResilientWorker<CompileResult> worker;
+            worker.evaluate = [&device](size_t,
+                                        const std::vector<int64_t>& vals)
+                -> Result<CompileResult> {
                 OwnedModule module = buildDnnModel("ResNet-18", nullptr);
                 FlowOptions options = optionsFor(Flow::kHida);
                 options.maxParallelFactor = vals[0];
                 options.tileSize = vals[1];
                 return compile(module.get(), options, device);
             };
+            return worker;
         },
-        dseThreadCount(), sweepScheduleFromEnv());
+        [](size_t index, const CompileResult& result) {
+            return ParetoSample{index, result.overload,
+                                result.effectiveThroughput};
+        },
+        dseThreadCount());
+    // A failed point or a dead worker leaves a default CompileResult
+    // behind (its diagnostics are already on stderr): fail instead of
+    // printing a row of zeros.
+    if (!outcome.allCompleted()) {
+        size_t missing = static_cast<size_t>(std::count(
+            outcome.completed.begin(), outcome.completed.end(), 0));
+        emitDiagnostic(Diagnostic(
+            ErrorCode::kGenericError,
+            strCat(missing, " of ", grid.size(),
+                   " points did not complete (", outcome.failures.size(),
+                   " failed, ", outcome.stats.workerFailures.size(),
+                   " worker(s) lost); no figure printed"),
+            "bench_fig10_tile_ablation"));
+        return 1;
+    }
+    const std::vector<CompileResult>& results = outcome.results;
 
     std::printf("Figure 10: ResNet-18 parallel factor x tile size ablation "
                 "(VU9P one SLR)\n");

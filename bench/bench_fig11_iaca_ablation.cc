@@ -7,16 +7,21 @@
  * to flawed (over-subscribed, misaligned) designs; where all arms work,
  * IA+CA spends several-fold less DSP/BRAM for the same throughput.
  *
- * Points are independent full compiles; the sweep runs on the sharded
- * DSE engine with the (arm, PF) grid and prints in grid order, so the
- * output is identical at any HIDA_BENCH_THREADS.
+ * Points are independent full compiles, run as an exhaustive
+ * runStrategySweep over the (arm, PF) grid and printed in grid order, so
+ * the output is identical at any HIDA_BENCH_THREADS (pinned by the
+ * bench_fig11_iaca_ablation_golden_* ctests). A point that fails to
+ * compile, or a worker that dies, fails the bench (exit 1) instead of
+ * printing a partial figure.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <iterator>
 
 #include "src/driver/driver.h"
-#include "src/dse/sweep.h"
+#include "src/dse/strategy.h"
 #include "src/models/dnn_models.h"
 #include "src/support/diagnostics.h"
 
@@ -41,10 +46,16 @@ main()
     HIDA_ASSERT(grid.axis(0).values.size() == std::size(arms),
                 "arm axis and arms[] diverged");
 
-    std::vector<CompileResult> results = ShardedSweep::run<CompileResult>(
-        grid,
+    StrategyOptions exhaustive;  // Every point, in HIDA_DSE_ORDER order.
+    exhaustive.order = sweepScheduleFromEnv().order;
+    std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, exhaustive);
+    StrategyOutcome<CompileResult> outcome = runStrategySweep<CompileResult>(
+        grid, *strategy,
         [&]() {
-            return [&device, &arms](size_t, const std::vector<int64_t>& vals) {
+            ResilientWorker<CompileResult> worker;
+            worker.evaluate = [&device, &arms](
+                                  size_t, const std::vector<int64_t>& vals)
+                -> Result<CompileResult> {
                 OwnedModule module = buildDnnModel("ResNet-18", nullptr);
                 FlowOptions options = optionsFor(Flow::kHida);
                 options.maxParallelFactor = vals[1];
@@ -52,8 +63,29 @@ main()
                 options.strategy = {arm.ia, arm.ca};
                 return compile(module.get(), options, device);
             };
+            return worker;
         },
-        dseThreadCount(), sweepScheduleFromEnv());
+        [](size_t index, const CompileResult& result) {
+            return ParetoSample{index, result.overload,
+                                result.effectiveThroughput};
+        },
+        dseThreadCount());
+    // A failed point or a dead worker leaves a default CompileResult
+    // behind (its diagnostics are already on stderr): fail instead of
+    // printing a row of zeros.
+    if (!outcome.allCompleted()) {
+        size_t missing = static_cast<size_t>(std::count(
+            outcome.completed.begin(), outcome.completed.end(), 0));
+        emitDiagnostic(Diagnostic(
+            ErrorCode::kGenericError,
+            strCat(missing, " of ", grid.size(),
+                   " points did not complete (", outcome.failures.size(),
+                   " failed, ", outcome.stats.workerFailures.size(),
+                   " worker(s) lost); no figure printed"),
+            "bench_fig11_iaca_ablation"));
+        return 1;
+    }
+    const std::vector<CompileResult>& results = outcome.results;
 
     std::printf("Figure 11: ResNet-18 IA/CA ablation (VU9P one SLR)\n");
     std::printf("%-7s %6s %8s %8s %14s %10s\n", "Arm", "PF", "DSP", "BRAM",

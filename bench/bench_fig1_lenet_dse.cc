@@ -8,16 +8,17 @@
  * KPF1 x (KPF2,CPF2) x (KPF3,CPF3) — under both dataflow and non-dataflow
  * settings (5*4*5*4*6*5 * 2 = 24,000 points, matching the paper's
  * "more than 2.4e4 points"). Each (mode, batch) prototype is lowered
- * once; the per-factor grid is then swept by the sharded DSE engine
- * (src/dse/): every worker deep-clones the prototype, re-applies the
- * factors per point, re-partitions the arrays and re-estimates QoR with
- * its own estimator, and results are merged in grid order — so stdout is
- * bit-identical to the serial sweep at any HIDA_BENCH_THREADS.
+ * once; the per-factor grid is then swept by runStrategySweep
+ * (src/dse/strategy.h), the one DSE sweep driver: every worker
+ * deep-clones the prototype, re-applies the factors per point,
+ * re-partitions the arrays and re-estimates QoR with its own estimator,
+ * and results are merged in grid order — so stdout is bit-identical to
+ * the serial sweep at any HIDA_BENCH_THREADS.
  *
- * The sweep runs on the resilient engine: prototypes are verified up
- * front, a failed point (e.g. under HIDA_FAULT_INJECT=kind:seed:rate)
- * is reported on stderr and excluded from the feasible set instead of
- * killing the run, and two env knobs exercise the robustness paths:
+ * Prototypes are verified up front, a failed point (e.g. under
+ * HIDA_FAULT_INJECT=kind:seed:rate) is reported on stderr and excluded
+ * from the feasible set instead of killing the run, and two env knobs
+ * exercise the robustness paths:
  *   HIDA_SWEEP_JOURNAL=<prefix>   checkpoint each (mode, batch) sweep to
  *                                 <prefix>_{df|nodf}_b<batch>.jrnl and
  *                                 resume from it on restart;
@@ -25,19 +26,17 @@
  * SIGINT/SIGTERM trip the process shutdown token (src/service/
  * shutdown.h): the sweep stops between points, flushes its journal and
  * the bench exits 128+sig — completed points are never lost mid-write.
- * On a clean, unlimited run stdout is byte-identical to the fault-free
- * engine (the bench.sh serial-vs-sharded sha gate proves it).
+ * On a clean, unlimited run stdout is identical at any thread count
+ * (the bench.sh serial-vs-threaded sha gate proves it).
  *
- * The sweep itself is strategy-driven (src/dse/strategy.h):
+ * The search strategy is picked from the environment:
  *   HIDA_DSE_STRATEGY=exhaustive|random|lhs|evolve   search strategy
  *                                 (default exhaustive — byte-identical
  *                                 stdout to the pre-strategy bench);
  *   HIDA_DSE_SEED=<n>             root of every sampling decision;
- *   HIDA_DSE_ORDER=gray|row-major evaluation order (gray: consecutive
- *                                 points mutate one directive — max
- *                                 estimator memo reuse);
- *   HIDA_DSE_SCHED=steal|static   worker scheduling (steal: dry workers
- *                                 adopt straggler slices);
+ *   HIDA_DSE_ORDER=gray|row-major exhaustive evaluation order (gray:
+ *                                 consecutive points mutate one
+ *                                 directive — max estimator memo reuse);
  *   HIDA_DSE_BUDGET=<n>           points per (mode, batch) sweep a
  *                                 sampling strategy may propose
  *                                 (default 10% of the grid);
@@ -46,9 +45,10 @@
  *                                 vs the exhaustive reference, cache
  *                                 hit rate) for bench.sh to fold into
  *                                 BENCH_dse.json.
- * A sampling run additionally sweeps the exhaustive reference front per
- * (mode, batch) to report *true* Pareto coverage — the acceptance
- * metric (evolve: >= 95% coverage at <= 10% of the points).
+ * A sampling run additionally runs the exhaustive strategy per
+ * (mode, batch) for the reference front, to report *true* Pareto
+ * coverage — the acceptance metric (evolve: >= 95% coverage at <= 10%
+ * of the points).
  */
 
 #include <algorithm>
@@ -157,12 +157,8 @@ main()
     const std::vector<int64_t> batches = {1, 5, 10, 15, 20};
     const DesignPointGrid grid = factorGrid();
     const unsigned threads = dseThreadCount();
-    // HIDA_DSE_ORDER / HIDA_DSE_SCHED: evaluation order and worker
-    // scheduling. Output-invariant by construction (results merge by
-    // grid index); the defaults (gray, steal) are the fast path.
-    const SweepSchedule schedule = sweepScheduleFromEnv();
 
-    // Strategy selection: HIDA_DSE_STRATEGY/SEED/BUDGET (an unknown
+    // Strategy selection: HIDA_DSE_STRATEGY/SEED/BUDGET/ORDER (an unknown
     // strategy is a user error — exit kFatalExitCode, never a silent
     // exhaustive fallback). The feasibility limit feeds evolve's parent
     // filter: over-utilized points never breed.
@@ -170,6 +166,9 @@ main()
     strategy_options.costLimit = 1.05;
     const bool sampled =
         strategy_options.kind != StrategyKind::kExhaustive;
+    // The sampling runs' exhaustive reference sweep keeps the ordering.
+    StrategyOptions reference_options;
+    reference_options.order = strategy_options.order;
 
     const char* journal_prefix = std::getenv("HIDA_SWEEP_JOURNAL");
     const double deadline_seconds = sweepDeadlineSeconds();
@@ -183,8 +182,8 @@ main()
     std::vector<Point> points;
     for (bool dataflow : {true, false}) {
         for (int64_t batch : batches) {
-            // Lower once per (mode, batch); the sharded sweep re-applies
-            // factors per point on per-worker clones of this prototype.
+            // Lower once per (mode, batch); the sweep re-applies factors
+            // per point on per-worker clones of this prototype.
             OwnedModule module = buildLeNet(batch);
             FlowOptions options = optionsFor(dataflow ? Flow::kHida
                                                       : Flow::kVitis);
@@ -243,14 +242,13 @@ main()
                     return worker;
                 };
 
+            auto objective = [](size_t index, const Point& p) {
+                return ParetoSample{index, p.util, p.throughput};
+            };
             std::unique_ptr<SearchStrategy> strategy =
                 makeStrategy(grid, strategy_options);
             StrategyOutcome<Point> outcome = runStrategySweep<Point>(
-                grid, *strategy, factory,
-                [](size_t index, const Point& p) {
-                    return ParetoSample{index, p.util, p.throughput};
-                },
-                threads, limits, schedule);
+                grid, *strategy, factory, objective, threads, limits);
 
             total_failures += outcome.failures.size();
             total_restored += outcome.stats.restored;
@@ -290,11 +288,10 @@ main()
             // exhaustive reference front of this (mode, batch) config
             // and count how much of it the sample dominates-or-equals.
             if (sampled) {
-                SweepOutcome<Point> reference =
-                    ShardedSweep::runResilient<Point>(grid, factory,
-                                                      threads,
-                                                      SweepLimits(),
-                                                      schedule);
+                std::unique_ptr<SearchStrategy> exhaustive =
+                    makeStrategy(grid, reference_options);
+                StrategyOutcome<Point> reference = runStrategySweep<Point>(
+                    grid, *exhaustive, factory, objective, threads);
                 std::vector<ParetoSample> feasible;
                 for (size_t i = 0; i < reference.results.size(); ++i) {
                     if (!reference.completed[i])

@@ -14,17 +14,91 @@
 namespace hida {
 
 //===----------------------------------------------------------------------===//
+// WorkQueue
+//===----------------------------------------------------------------------===//
+
+void
+WorkQueue::reset(size_t count, size_t workers)
+{
+    HIDA_ASSERT(workers > 0, "work queue needs at least one worker");
+    // deque has no resize-in-place guarantee for shrinking mutexes
+    // mid-use; reset only runs between rounds, so rebuilding is safe.
+    if (slots_.size() != workers) {
+        slots_.clear();
+        for (size_t w = 0; w < workers; ++w)
+            slots_.emplace_back();
+    }
+    for (size_t w = 0; w < workers; ++w) {
+        Slot& slot = slots_[w];
+        std::lock_guard<std::mutex> lock(slot.mutex);
+        slot.next = count * w / workers;
+        slot.end = count * (w + 1) / workers;
+    }
+    // Small enough that stragglers can be relieved, large enough that
+    // queue traffic stays negligible next to point evaluation.
+    chunk_ = std::clamp<size_t>(count / (workers * 16), 1, 64);
+}
+
+bool
+WorkQueue::take(size_t self, size_t* begin, size_t* end)
+{
+    HIDA_ASSERT(self < slots_.size(), "worker index out of range");
+    Slot& own = slots_[self];
+    {
+        std::lock_guard<std::mutex> lock(own.mutex);
+        if (own.next < own.end) {
+            *begin = own.next;
+            *end = std::min(own.next + chunk_, own.end);
+            own.next = *end;
+            return true;
+        }
+    }
+    // Own slot is dry: steal the back half of some victim's remainder
+    // and adopt it. Locks are taken one slot at a time (never nested),
+    // so there is no ordering to get wrong. A singleton remainder is
+    // stolen whole (mid == victim.next): unclaimed points are protected
+    // by the slot mutex, and a worker that died in its init never
+    // comes back for its last point — the thief must be able to drain
+    // the slot completely or fault rescue strands that point.
+    for (size_t off = 1; off < slots_.size(); ++off) {
+        size_t v = (self + off) % slots_.size();
+        Slot& victim = slots_[v];
+        size_t stolen_begin = 0;
+        size_t stolen_end = 0;
+        {
+            std::lock_guard<std::mutex> lock(victim.mutex);
+            size_t remaining = victim.end - victim.next;
+            if (remaining == 0)
+                continue;
+            size_t mid = victim.next + remaining / 2;
+            stolen_begin = mid;
+            stolen_end = victim.end;
+            victim.end = mid;
+        }
+        std::lock_guard<std::mutex> lock(own.mutex);
+        own.next = stolen_begin;
+        own.end = stolen_end;
+        *begin = own.next;
+        *end = std::min(own.next + chunk_, own.end);
+        own.next = *end;
+        return true;
+    }
+    // Every slot looked empty at the instant we scanned it. A
+    // concurrent adoption may still surface work in another slot right
+    // after — retiring here is benign (the adopter finishes it); work
+    // is never lost, only slightly imbalanced at the very end.
+    return false;
+}
+
+//===----------------------------------------------------------------------===//
 // StrategyWorkerPool
 //===----------------------------------------------------------------------===//
 
-StrategyWorkerPool::StrategyWorkerPool(unsigned workers, WorkerInit init,
-                                       SweepScheduler scheduler)
-    : workers_(std::max(1u, workers)), init_(std::move(init)),
-      scheduler_(scheduler)
+StrategyWorkerPool::StrategyWorkerPool(unsigned workers, WorkerInit init)
+    : workers_(std::max(1u, workers)), init_(std::move(init))
 {
     // Dialect registration mutates the process-wide OpRegistry; do it
-    // once up front so workers never race a first-compile registration
-    // (the runShards rule).
+    // once up front so workers never race a first-compile registration.
     registerAllDialects();
     if (workers_ == 1)
         return;  // Inline mode: no thread, worker created lazily.
@@ -50,15 +124,14 @@ StrategyWorkerPool::recordWorkerFailure(unsigned index,
 void
 StrategyWorkerPool::workerMain(unsigned index)
 {
-    // Tag diagnostic lines with the worker index (emission itself is
-    // serialized), exactly like runShards workers.
+    // Tag diagnostic lines with the worker index "w<index>" (emission
+    // itself is serialized; see setDiagnosticThreadTag).
     setDiagnosticThreadTag(strCat("w", index));
     // Worker-local state (module clone, estimator, passes) is created
     // here, on the worker thread, and lives until shutdown — warm
     // caches survive across rounds. An exception out of init retires
     // the worker as data, but it still acks every round below so the
-    // driver never deadlocks (under kStealing the survivors drain its
-    // slices; under kStatic they go unevaluated).
+    // driver never deadlocks; the survivors drain its slices.
     WorkerFns fns;
     bool alive = true;
     try {
@@ -130,7 +203,7 @@ StrategyWorkerPool::runRound(size_t count)
     // Safe to reset here: every worker is parked waiting for the next
     // round (done_ == workers_ from the previous one), so none is
     // inside take().
-    queue_.reset(count, workers_, scheduler_);
+    queue_.reset(count, workers_);
     done_ = 0;
     ++round_;
     workCv_.notify_all();
@@ -215,8 +288,7 @@ resolveBudget(const DesignPointGrid& grid, size_t budget)
     return std::min(budget == 0 ? fallback : budget, grid.size());
 }
 
-/** Every point, one batch, proposed in the configured PointOrder (the
- * executor slices the batch exactly like ShardedSweep::runResilient).
+/** Every point, one batch, proposed in the configured PointOrder.
  * Under kGrayCode consecutive batch positions mutate exactly one
  * directive, so each worker's slice walks single-axis steps. */
 class ExhaustiveStrategy : public SearchStrategy {

@@ -7,16 +7,17 @@
  * design space tractable without enumerating it (the paper's own Figure
  * 1 motivation: >2.4e4 points for LeNet alone). A SearchStrategy
  * proposes batches of grid indices and consumes (index, objectives)
- * results; runStrategySweep() drives one through a persistent sharded
- * worker pool so every batch is evaluated with the same per-worker
- * clone/estimator recipe (and the same fault-isolation, journal,
- * deadline and budget semantics) as ShardedSweep::runResilient.
+ * results; runStrategySweep() drives one through a persistent worker
+ * pool. It is the only sweep driver: an exhaustive sweep is the
+ * exhaustive strategy (one batch holding the whole grid), so every
+ * sweep gets the same per-point pipeline — fault isolation, journal
+ * resume, deadline, cancel and point budget.
  *
  * Four built-in strategies (makeStrategy / HIDA_DSE_STRATEGY):
  *  - exhaustive: every point, one batch, proposed in the configured
  *    PointOrder (HIDA_DSE_ORDER; gray by default, so consecutive
- *    points mutate exactly one directive) — byte-identical output to
- *    the pre-strategy sweeps at any order/scheduler/thread count.
+ *    points mutate exactly one directive) — byte-identical output at
+ *    any order and thread count.
  *  - random: seeded uniform sampling without replacement.
  *  - lhs: latin-hypercube sampling over the named axes (every axis
  *    stratified into budget slices, permuted independently).
@@ -42,17 +43,22 @@
  * Thread-safety: a SearchStrategy is confined to the driver thread
  * (strictly per-driver in the ROADMAP sharing rules). StrategyWorkerPool
  * is internally synchronized; each pool worker owns its ResilientWorker
- * state exactly like a ShardedSweep worker.
+ * state (module clone, estimator, passes) for the whole sweep.
  */
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/dse/pareto.h"
@@ -159,31 +165,64 @@ std::unique_ptr<SearchStrategy> makeStrategy(const DesignPointGrid& grid,
 StrategyOptions strategyOptionsFromEnv();
 
 /**
+ * Work-stealing distribution of [0, count) over one pool's workers.
+ * Each worker owns a contiguous slot [count*w/W, count*(w+1)/W) it
+ * consumes from the front in chunks; a dry worker steals the back half
+ * of a victim's remainder and adopts it. Owners keep their locality
+ * (neighboring positions differ in few axes — exactly one under
+ * PointOrder::kGrayCode), and uneven point costs, or a worker that died
+ * in its init, never strand work. reset() must happen-before the
+ * workers' take() calls (the pool's round hand-off provides that);
+ * take() is safe to call concurrently from all workers.
+ */
+class WorkQueue {
+  public:
+    /** Carve [0, count) into @p workers owner slots. */
+    void reset(size_t count, size_t workers);
+
+    /**
+     * Claim the next chunk for worker @p self as [*begin, *end).
+     * Returns false when no work is left anywhere this worker can see
+     * (a concurrent steal-adoption may retire a worker one chunk early;
+     * work is never lost, only finished by the adopter).
+     */
+    bool take(size_t self, size_t* begin, size_t* end);
+
+  private:
+    struct Slot {
+        std::mutex mutex;
+        size_t next = 0;
+        size_t end = 0;
+    };
+    // deque, not vector: Slot holds a std::mutex and must never move.
+    std::deque<Slot> slots_;
+    size_t chunk_ = 1;
+};
+
+/**
  * A fixed-size pool of persistent worker threads for batch-by-batch
- * sweeps. Unlike ShardedSweep::runShards (threads per call), the pool
- * keeps each worker — and therefore its module clone and warm estimator
- * caches — alive across batches, which is what lets an evolutionary
- * strategy's neighbor points hit the caches its earlier batches warmed.
+ * sweeps. The pool keeps each worker — and therefore its module clone
+ * and warm estimator caches — alive across batches, which is what lets
+ * an evolutionary strategy's neighbor points hit the caches its earlier
+ * batches warmed.
  *
- * Worker w of a round over @p count positions owns the contiguous
- * slice [count*w/W, count*(w+1)/W) — the runShards shard math, so a
- * single whole-grid round is sliced exactly like runResilient. Under
- * SweepScheduler::kStealing a dry worker additionally adopts tail
- * halves of straggler slices through the shared WorkQueue (sweep.h).
+ * Each runRound() over count positions is distributed through a
+ * WorkQueue: worker w starts on the contiguous slice
+ * [count*w/W, count*(w+1)/W) and, once dry, adopts tail halves of
+ * straggler slices.
  *
  * Exception safety: an exception escaping a worker's init or run hook
  * retires that worker as a kWorkerFailed Diagnostic (workerFailures())
  * instead of calling std::terminate — the dead worker keeps acking
- * rounds so the driver never deadlocks, and under kStealing the
- * survivors drain its slices.
+ * rounds so the driver never deadlocks, and the survivors drain its
+ * slices.
  *
  * Thread-safety: runRound()/shutdown()/workerFailures() are
  * driver-only; the pool internally synchronizes hand-off to its
  * workers (mutex + condvars), so everything the driver wrote before
  * runRound() is visible to workers, and worker writes are visible to
  * the driver when runRound() returns. With one worker the pool runs
- * inline on the driver thread (the serial reference semantics of
- * runShards).
+ * inline on the driver thread (the serial reference semantics).
  */
 class StrategyWorkerPool {
   public:
@@ -199,8 +238,7 @@ class StrategyWorkerPool {
 
     /** Spawn @p workers threads (1 = inline mode, no thread). @p init
      * runs once per worker on that worker's thread. */
-    StrategyWorkerPool(unsigned workers, WorkerInit init,
-                       SweepScheduler scheduler = SweepScheduler::kStatic);
+    StrategyWorkerPool(unsigned workers, WorkerInit init);
     /** Joins (runs shutdown()) if the driver has not already. */
     ~StrategyWorkerPool();
 
@@ -231,7 +269,6 @@ class StrategyWorkerPool {
 
     unsigned workers_ = 1;
     WorkerInit init_;
-    SweepScheduler scheduler_ = SweepScheduler::kStatic;
     WorkQueue queue_;
     std::vector<std::thread> threads_;
     /** Inline-mode worker (workers_ == 1), created lazily. */
@@ -267,36 +304,60 @@ struct StrategySweepStats {
 
 /**
  * Outcome of runStrategySweep: results/completed are indexed by *grid*
- * index (untouched points default-constructed with completed[i] == 0),
- * failures are merged in grid order.
+ * index, failures are merged in grid order. A point is either completed
+ * (results[i] valid), failed (a PointFailure carries its diagnostic),
+ * or not reached (not proposed, the sweep stopped first, or every
+ * worker died). Points not completed keep a default-constructed result.
  */
 template <typename R>
 struct StrategyOutcome {
-    std::vector<R> results;
-    std::vector<uint8_t> completed;
-    std::vector<PointFailure> failures;
+    std::vector<R> results;             ///< Valid where completed[i] != 0.
+    std::vector<uint8_t> completed;     ///< Per grid index.
+    std::vector<PointFailure> failures; ///< Grid order.
     StrategySweepStats stats;
+
+    /** Every grid point completed (the exhaustive contract). */
+    bool
+    allCompleted() const
+    {
+        return std::find(completed.begin(), completed.end(), 0) ==
+               completed.end();
+    }
 };
 
 /**
  * Drive @p strategy over @p grid with @p threads persistent workers.
  *
  * Per batch: the strategy proposes indices (driver thread), the pool
- * evaluates them with exactly the runResilient per-point pipeline
- * (journal restore -> budget -> decode -> FaultScope(index) ->
- * evaluate, failures recovered per worker), and the batch's results are
- * fed back in batch order. SweepLimits compose unchanged: deadline /
- * cancel / point budget stop all workers between points, and a journal
- * restores completed points byte-exactly on resume.
+ * evaluates them through one per-point pipeline (journal restore ->
+ * budget -> decode -> FaultScope(index) -> evaluate, failures recovered
+ * per worker), and the batch's results are fed back in batch order.
+ *
+ * Contract (pinned by tests/dse_fault_test.cc):
+ *  - A failed point never takes the sweep down: its Diagnostic is
+ *    recorded as a PointFailure (merged in grid order) and the
+ *    worker's recover hook runs before the next point. An exception
+ *    out of evaluate is such a failure (kWorkerFailed); one out of the
+ *    factory retires only that worker (stats.workerFailures) and the
+ *    survivors evaluate its points.
+ *  - Surviving points are bit-identical to a clean run at any thread
+ *    count (failures are decided by the deterministic fault key = grid
+ *    index, never by worker or timing).
+ *  - limits.deadlineSeconds / cancel / pointBudget stop all workers
+ *    between points; completed results remain valid.
+ *  - With limits.journal, completed points are checkpointed and a
+ *    restarted sweep restores them byte-exactly instead of
+ *    re-evaluating (same output hash as an uninterrupted run).
+ *
+ * R must be trivially copyable (journaled byte-exactly) and
+ * default-constructible (placeholder for unreached points).
  *
  * @p objective maps a completed result to its ParetoSample objectives
  * for strategy feedback (the index field is overwritten).
  *
- * @p schedule.scheduler picks the pool's round slicing (static or
- * stealing; output-invariant — results store by grid index).
- * @p schedule.order is a *strategy* concern: the exhaustive strategy
- * takes it from StrategyOptions at construction; batches arriving here
- * are evaluated in their proposed order.
+ * The evaluation order is a *strategy* concern: the exhaustive strategy
+ * takes it from StrategyOptions::order at construction; batches
+ * arriving here are sliced across workers in their proposed order.
  *
  * Determinism: for a fixed strategy seed the proposed indices, results
  * and failures are bit-identical at any @p threads, because strategy
@@ -308,8 +369,7 @@ StrategyOutcome<R>
 runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
                  const std::function<ResilientWorker<R>()>& factory,
                  const std::function<ParetoSample(size_t, const R&)>& objective,
-                 unsigned threads, const SweepLimits& limits = SweepLimits(),
-                 const SweepSchedule& schedule = SweepSchedule())
+                 unsigned threads, const SweepLimits& limits = SweepLimits())
 {
     static_assert(std::is_trivially_copyable_v<R>,
                   "sweep results are journaled as raw bytes");
@@ -444,8 +504,7 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
                     worker->retire();
             };
             return fns;
-        },
-        schedule.scheduler);
+        });
 
     std::vector<uint8_t> proposed_ever(n, 0);
     std::vector<StrategyResult> feedback;

@@ -3,36 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
-#include <string>
 #include <thread>
 
-#include "src/ir/registry.h"
 #include "src/ir/verifier.h"
 #include "src/support/env.h"
 
 namespace hida {
-
-std::optional<SweepScheduler>
-parseSweepScheduler(std::string_view name)
-{
-    if (name == "static")
-        return SweepScheduler::kStatic;
-    if (name == "steal")
-        return SweepScheduler::kStealing;
-    return std::nullopt;
-}
-
-std::string_view
-sweepSchedulerName(SweepScheduler scheduler)
-{
-    switch (scheduler) {
-      case SweepScheduler::kStatic:
-        return "static";
-      case SweepScheduler::kStealing:
-        return "steal";
-    }
-    return "unknown";
-}
 
 SweepSchedule
 sweepScheduleFromEnv()
@@ -46,173 +22,7 @@ sweepScheduleFromEnv()
                        "': expected 'gray' or 'row-major'");
         schedule.order = *order;
     }
-    if (const char* env = std::getenv("HIDA_DSE_SCHED");
-        env != nullptr && *env != '\0') {
-        auto scheduler = parseSweepScheduler(env);
-        if (!scheduler)
-            HIDA_FATAL("invalid HIDA_DSE_SCHED '", env,
-                       "': expected 'steal' or 'static'");
-        schedule.scheduler = *scheduler;
-    }
     return schedule;
-}
-
-void
-WorkQueue::reset(size_t count, size_t workers, SweepScheduler scheduler)
-{
-    HIDA_ASSERT(workers > 0, "work queue needs at least one worker");
-    scheduler_ = scheduler;
-    // deque has no resize-in-place guarantee for shrinking mutexes
-    // mid-use; reset only runs between rounds, so rebuilding is safe.
-    if (slots_.size() != workers) {
-        slots_.clear();
-        for (size_t w = 0; w < workers; ++w)
-            slots_.emplace_back();
-    }
-    for (size_t w = 0; w < workers; ++w) {
-        Slot& slot = slots_[w];
-        std::lock_guard<std::mutex> lock(slot.mutex);
-        slot.next = count * w / workers;
-        slot.end = count * (w + 1) / workers;
-    }
-    if (scheduler == SweepScheduler::kStatic) {
-        // One take() hands the owner its whole range: byte-for-byte the
-        // fixed-shard behavior.
-        chunk_ = std::max<size_t>(count, 1);
-    } else {
-        // Small enough that stragglers can be relieved, large enough
-        // that queue traffic stays negligible next to point evaluation.
-        chunk_ = std::clamp<size_t>(count / (workers * 16), 1, 64);
-    }
-}
-
-bool
-WorkQueue::take(size_t self, size_t* begin, size_t* end)
-{
-    HIDA_ASSERT(self < slots_.size(), "worker index out of range");
-    Slot& own = slots_[self];
-    {
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (own.next < own.end) {
-            *begin = own.next;
-            *end = std::min(own.next + chunk_, own.end);
-            own.next = *end;
-            return true;
-        }
-    }
-    if (scheduler_ == SweepScheduler::kStatic)
-        return false;
-    // Own slot is dry: steal the back half of some victim's remainder
-    // and adopt it. Locks are taken one slot at a time (never nested),
-    // so there is no ordering to get wrong. A singleton remainder is
-    // stolen whole (mid == victim.next): unclaimed points are protected
-    // by the slot mutex, and a worker that died in its factory never
-    // comes back for its last point — the thief must be able to drain
-    // the slot completely or fault rescue strands that point.
-    for (size_t off = 1; off < slots_.size(); ++off) {
-        size_t v = (self + off) % slots_.size();
-        Slot& victim = slots_[v];
-        size_t stolen_begin = 0;
-        size_t stolen_end = 0;
-        {
-            std::lock_guard<std::mutex> lock(victim.mutex);
-            size_t remaining = victim.end - victim.next;
-            if (remaining == 0)
-                continue;
-            size_t mid = victim.next + remaining / 2;
-            stolen_begin = mid;
-            stolen_end = victim.end;
-            victim.end = mid;
-        }
-        std::lock_guard<std::mutex> lock(own.mutex);
-        own.next = stolen_begin;
-        own.end = stolen_end;
-        *begin = own.next;
-        *end = std::min(own.next + chunk_, own.end);
-        own.next = *end;
-        return true;
-    }
-    // Every slot looked empty at the instant we scanned it. A
-    // concurrent adoption may still surface work in another slot right
-    // after — retiring here is benign (the adopter finishes it); work
-    // is never lost, only slightly imbalanced at the very end.
-    return false;
-}
-
-namespace {
-
-/** Wrap one worker's whole lifetime (factory + chunk loop) so an
- * escaped exception retires the worker as data instead of calling
- * std::terminate with unflushed journals. */
-std::optional<Diagnostic>
-runWorker(const ShardedSweep::ShardFactory& factory, WorkQueue& queue,
-          size_t self)
-{
-    try {
-        ShardedSweep::ShardFn shard = factory();
-        size_t begin = 0;
-        size_t end = 0;
-        while (queue.take(self, &begin, &end))
-            shard(begin, end);
-        return std::nullopt;
-    } catch (const std::exception& e) {
-        return Diagnostic(ErrorCode::kWorkerFailed,
-                          strCat("exception escaped sweep worker: ",
-                                 e.what()),
-                          strCat("worker w", self));
-    } catch (...) {
-        return Diagnostic(ErrorCode::kWorkerFailed,
-                          "unknown exception escaped sweep worker",
-                          strCat("worker w", self));
-    }
-}
-
-} // namespace
-
-std::vector<Diagnostic>
-ShardedSweep::runShards(size_t num_points, const ShardFactory& factory,
-                        unsigned threads, SweepScheduler scheduler)
-{
-    std::vector<Diagnostic> worker_failures;
-    if (num_points == 0)
-        return worker_failures;
-    // Dialect registration mutates the process-wide OpRegistry; do it
-    // once up front so workers never race a first-compile registration.
-    registerAllDialects();
-    size_t workers = std::max(1u, threads);
-    workers = std::min(workers, num_points);
-    WorkQueue queue;
-    queue.reset(num_points, workers, scheduler);
-    if (workers == 1) {
-        // Serial fast path: no thread spawn, same factory contract —
-        // including the worker-boundary exception catch.
-        if (auto diag = runWorker(factory, queue, 0)) {
-            emitDiagnostic(*diag);
-            worker_failures.push_back(std::move(*diag));
-        }
-        return worker_failures;
-    }
-    std::mutex failures_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&factory, &queue, &failures_mutex,
-                           &worker_failures, w]() {
-            // The factory runs here, on the worker thread, so clones,
-            // estimators and passes it creates are owned by this thread.
-            // Tag the thread so concurrent diagnostic lines say which
-            // worker emitted them (emission itself is serialized).
-            setDiagnosticThreadTag(strCat("w", w));
-            if (auto diag = runWorker(factory, queue, w)) {
-                emitDiagnostic(*diag);
-                std::lock_guard<std::mutex> lock(failures_mutex);
-                worker_failures.push_back(std::move(*diag));
-            }
-        });
-    }
-    for (std::thread& t : pool)
-        t.join();
-    return worker_failures;
 }
 
 std::optional<Diagnostic>

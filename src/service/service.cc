@@ -788,7 +788,7 @@ DseService::runRequest(Pending pending)
             [](size_t index, const ServicePoint& point) {
                 return ParetoSample{index, point.util, point.throughput};
             },
-            options_.sweepThreads, limits, options_.schedule);
+            options_.sweepThreads, limits);
 
     response.results = std::move(outcome.results);
     response.completed = std::move(outcome.completed);

@@ -177,6 +177,9 @@ struct ServiceOptions {
     double retryBackoffMs = 0.0;
     /** QoR store path (HIDA_QOR_STORE; "" = in-memory memo only). */
     std::string storePath;
+    /** HIDA_DSE_ORDER, validated at startup. The executor does not
+     * read it: a request walks the order of its own
+     * StrategyOptions::order. */
     SweepSchedule schedule;
     TargetDevice device = TargetDevice::pynqZ2();
 

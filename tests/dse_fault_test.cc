@@ -1,8 +1,9 @@
 /**
  * @file
- * Robustness tests for the resilient DSE engine (runResilient): fault
- * isolation, deterministic fault injection, stop conditions (deadline /
- * cancel / point budget) and the checkpoint journal.
+ * Robustness tests for the DSE sweep engine (runStrategySweep with the
+ * exhaustive strategy): fault isolation, deterministic fault injection,
+ * worker-boundary exceptions, stop conditions (deadline / cancel /
+ * point budget) and the checkpoint journal.
  *
  * The pinned contracts:
  *  - Injected failures land at the exact same grid points at 1, 2 or 4
@@ -12,8 +13,8 @@
  *    itself never dies.
  *  - An interrupted sweep (point budget here; wall-clock deadline in the
  *    benches) resumed from its journal reproduces the clean run's
- *    results byte-exactly, including across a truncated or corrupted
- *    journal tail.
+ *    results byte-exactly, including across a truncated journal tail
+ *    or a flipped byte inside the journal.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +31,7 @@
 #include "src/driver/driver.h"
 #include "src/dse/grid.h"
 #include "src/dse/journal.h"
-#include "src/dse/sweep.h"
+#include "src/dse/strategy.h"
 #include "src/estimator/qor.h"
 #include "src/models/dnn_models.h"
 #include "src/support/fault_inject.h"
@@ -48,17 +49,36 @@ qorEq(const DesignQor& a, const DesignQor& b)
            a.res.ff == b.res.ff;
 }
 
+/** Exhaustive runStrategySweep of @p grid in @p order. */
+StrategyOutcome<DesignQor>
+exhaustiveSweep(const DesignPointGrid& grid,
+                const std::function<ResilientWorker<DesignQor>()>& factory,
+                unsigned threads, const SweepLimits& limits = SweepLimits(),
+                PointOrder order = PointOrder::kGrayCode)
+{
+    StrategyOptions options;
+    options.order = order;
+    std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, options);
+    return runStrategySweep<DesignQor>(
+        grid, *strategy, factory,
+        [](size_t index, const DesignQor&) {
+            return ParetoSample{index, 0.0, 0.0};
+        },
+        threads, limits);
+}
+
 /**
  * Shared LeNet sweep setup (one compile for the whole suite): the same
  * prototype + 48-point Table 1 sub-grid as dse_parallel_test, evaluated
- * through the resilient CloneSweepWorker recipe of the fig1 bench.
+ * through the CloneSweepWorker recipe of the fig1 bench.
  */
 struct LeNetSweep {
     TargetDevice device = TargetDevice::pynqZ2();
     OwnedModule prototype;
     FlowOptions partitionOptions;
     DesignPointGrid grid;
-    std::vector<DesignQor> clean;  ///< Legacy-engine reference results.
+    /// Reference results: a plain serial loop over one CloneSweepWorker.
+    std::vector<DesignQor> clean;
 
     LeNetSweep() : prototype(buildLeNet(1))
     {
@@ -75,17 +95,14 @@ struct LeNetSweep {
         grid.addDirectiveAxis("kpf3", {2, 8}, 3, "kpf_loop");
         grid.addDirectiveAxis("cpf3", {1, 16}, 3, "cpf_loop");
 
-        clean = ShardedSweep::run<DesignQor>(
-            grid,
-            [this]() {
-                auto w = std::make_shared<CloneSweepWorker>(
-                    prototype.get(),
-                    createArrayPartitionPass(partitionOptions), device);
-                return [w, this](size_t, const std::vector<int64_t>& vals) {
-                    return w->evaluate(grid, vals);
-                };
-            },
-            2);
+        CloneSweepWorker worker(prototype.get(),
+                                createArrayPartitionPass(partitionOptions),
+                                device);
+        std::vector<int64_t> vals;
+        for (size_t i = 0; i < grid.size(); ++i) {
+            grid.decode(i, vals);
+            clean.push_back(worker.evaluateChecked(grid, vals).value());
+        }
     }
 
     std::function<ResilientWorker<DesignQor>()>
@@ -107,13 +124,11 @@ struct LeNetSweep {
         };
     }
 
-    SweepOutcome<DesignQor>
+    StrategyOutcome<DesignQor>
     run(unsigned threads, const SweepLimits& limits = SweepLimits(),
-        const SweepSchedule& schedule = SweepSchedule())
+        PointOrder order = PointOrder::kGrayCode)
     {
-        return ShardedSweep::runResilient<DesignQor>(grid, factory(),
-                                                     threads, limits,
-                                                     schedule);
+        return exhaustiveSweep(grid, factory(), threads, limits, order);
     }
 };
 
@@ -144,16 +159,16 @@ tempJournalPath(const std::string& name)
 // Fault isolation and determinism
 //===----------------------------------------------------------------------===//
 
-TEST_F(DseFaultTest, CleanResilientRunMatchesLegacyEngine)
+TEST_F(DseFaultTest, CleanRunMatchesSerialLoop)
 {
     LeNetSweep& s = lenet();
-    SweepOutcome<DesignQor> outcome = s.run(4);
+    StrategyOutcome<DesignQor> outcome = s.run(4);
     ASSERT_EQ(outcome.results.size(), s.grid.size());
     EXPECT_TRUE(outcome.allCompleted());
     EXPECT_TRUE(outcome.failures.empty());
-    EXPECT_FALSE(outcome.stopped);
-    EXPECT_EQ(outcome.evaluated, s.grid.size());
-    EXPECT_EQ(outcome.restored, 0u);
+    EXPECT_FALSE(outcome.stats.stopped);
+    EXPECT_EQ(outcome.stats.evaluated, s.grid.size());
+    EXPECT_EQ(outcome.stats.restored, 0u);
     for (size_t i = 0; i < s.grid.size(); ++i)
         EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i])) << "point " << i;
 }
@@ -170,8 +185,8 @@ TEST_F(DseFaultTest, InjectedFailuresIdenticalAtAnyThreadCount)
 
     std::vector<size_t> reference;
     for (unsigned threads : {1u, 2u, 4u}) {
-        SweepOutcome<DesignQor> outcome = s.run(threads);
-        EXPECT_FALSE(outcome.stopped);
+        StrategyOutcome<DesignQor> outcome = s.run(threads);
+        EXPECT_FALSE(outcome.stats.stopped);
 
         // (b) failures arrive in grid order as structured records.
         std::vector<size_t> failed;
@@ -219,7 +234,7 @@ TEST_F(DseFaultTest, WorkerRecoversAfterMidPipelineFault)
     config.rate = 0.2;
     setFaultConfig(config);
 
-    SweepOutcome<DesignQor> outcome = s.run(2);
+    StrategyOutcome<DesignQor> outcome = s.run(2);
     ASSERT_FALSE(outcome.failures.empty());
     for (const PointFailure& failure : outcome.failures)
         EXPECT_EQ(failure.diag.code, ErrorCode::kFaultInjected);
@@ -255,23 +270,22 @@ TEST_F(DseFaultTest, InvalidDirectiveFailsThePointNotTheSweep)
     grid.addDirectiveAxis("kpf3", {2, 8}, 3, "kpf_loop");
     ASSERT_EQ(grid.size(), 4u);
 
-    SweepOutcome<DesignQor> outcome =
-        ShardedSweep::runResilient<DesignQor>(
-            grid,
-            [&]() {
-                auto w = std::make_shared<CloneSweepWorker>(
-                    s.prototype.get(),
-                    createArrayPartitionPass(s.partitionOptions), s.device);
-                ResilientWorker<DesignQor> worker;
-                worker.evaluate =
-                    [w, &grid](size_t, const std::vector<int64_t>& vals)
-                    -> Result<DesignQor> {
-                    return w->evaluateChecked(grid, vals);
-                };
-                worker.recover = [w]() { w->rebuild(); };
-                return worker;
-            },
-            2);
+    StrategyOutcome<DesignQor> outcome = exhaustiveSweep(
+        grid,
+        [&]() {
+            auto w = std::make_shared<CloneSweepWorker>(
+                s.prototype.get(),
+                createArrayPartitionPass(s.partitionOptions), s.device);
+            ResilientWorker<DesignQor> worker;
+            worker.evaluate =
+                [w, &grid](size_t, const std::vector<int64_t>& vals)
+                -> Result<DesignQor> {
+                return w->evaluateChecked(grid, vals);
+            };
+            worker.recover = [w]() { w->rebuild(); };
+            return worker;
+        },
+        2);
 
     // Points 0 and 1 carry kpf1 = 0.
     ASSERT_EQ(outcome.failures.size(), 2u);
@@ -281,7 +295,7 @@ TEST_F(DseFaultTest, InvalidDirectiveFailsThePointNotTheSweep)
         EXPECT_EQ(failure.diag.code, ErrorCode::kInvalidDirective);
     EXPECT_TRUE(outcome.completed[2]);
     EXPECT_TRUE(outcome.completed[3]);
-    EXPECT_FALSE(outcome.stopped);
+    EXPECT_FALSE(outcome.stats.stopped);
 }
 
 //===----------------------------------------------------------------------===//
@@ -292,7 +306,7 @@ TEST_F(DseFaultTest, InvalidDirectiveFailsThePointNotTheSweep)
  * A LeNetSweep factory whose Nth invocation throws — the "worker dies
  * during setup" scenario. Calls are counted process-wide; which OS
  * thread draws the short straw is scheduling-dependent, so tests only
- * assert scheduler-level outcomes, never which shard was lost.
+ * assert sweep-level outcomes, never which worker was lost.
  */
 std::function<ResilientWorker<DesignQor>()>
 throwingFactory(LeNetSweep& s, std::shared_ptr<std::atomic<int>> calls,
@@ -306,54 +320,21 @@ throwingFactory(LeNetSweep& s, std::shared_ptr<std::atomic<int>> calls,
     };
 }
 
-TEST_F(DseFaultTest, WorkerFactoryExceptionBecomesDiagnostic)
-{
-    // Static scheduler, two workers, one factory throws: the sweep must
-    // survive, report the dead worker as a kWorkerFailed Diagnostic
-    // (not a crash, not `stopped`), and leave exactly the dead worker's
-    // fixed shard unevaluated.
-    LeNetSweep& s = lenet();
-    auto calls = std::make_shared<std::atomic<int>>(0);
-    SweepSchedule schedule;
-    schedule.scheduler = SweepScheduler::kStatic;
-    SweepOutcome<DesignQor> outcome =
-        ShardedSweep::runResilient<DesignQor>(
-            s.grid, throwingFactory(s, calls, 2), 2, SweepLimits(),
-            schedule);
-
-    ASSERT_EQ(outcome.workerFailures.size(), 1u);
-    EXPECT_EQ(outcome.workerFailures[0].code, ErrorCode::kWorkerFailed);
-    EXPECT_FALSE(outcome.stopped);
-    EXPECT_TRUE(outcome.failures.empty());
-    EXPECT_FALSE(outcome.allCompleted());
-    size_t completed = 0;
-    for (size_t i = 0; i < s.grid.size(); ++i)
-        if (outcome.completed[i]) {
-            ++completed;
-            EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i]))
-                << "point " << i;
-        }
-    // Static halves of a 48-point grid: the survivor finished its 24.
-    EXPECT_EQ(completed, s.grid.size() / 2);
-}
-
 TEST_F(DseFaultTest, StealingRescuesADeadWorkersShard)
 {
-    // Same dead worker, stealing scheduler: the survivor drains the
-    // dead worker's slot, so the sweep still completes every point —
-    // the failure is reported but costs coverage nothing.
+    // Two workers, one factory throws: the sweep must survive, report
+    // the dead worker as a kWorkerFailed Diagnostic (not a crash, not
+    // `stopped`, not a point failure), and the survivor drains the dead
+    // worker's slot — the failure costs coverage nothing.
     LeNetSweep& s = lenet();
     auto calls = std::make_shared<std::atomic<int>>(0);
-    SweepSchedule schedule;
-    schedule.scheduler = SweepScheduler::kStealing;
-    SweepOutcome<DesignQor> outcome =
-        ShardedSweep::runResilient<DesignQor>(
-            s.grid, throwingFactory(s, calls, 2), 2, SweepLimits(),
-            schedule);
+    StrategyOutcome<DesignQor> outcome =
+        exhaustiveSweep(s.grid, throwingFactory(s, calls, 2), 2);
 
-    ASSERT_EQ(outcome.workerFailures.size(), 1u);
-    EXPECT_EQ(outcome.workerFailures[0].code, ErrorCode::kWorkerFailed);
-    EXPECT_FALSE(outcome.stopped);
+    ASSERT_EQ(outcome.stats.workerFailures.size(), 1u);
+    EXPECT_EQ(outcome.stats.workerFailures[0].code, ErrorCode::kWorkerFailed);
+    EXPECT_FALSE(outcome.stats.stopped);
+    EXPECT_TRUE(outcome.failures.empty());
     EXPECT_TRUE(outcome.allCompleted());
     for (size_t i = 0; i < s.grid.size(); ++i)
         EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i])) << "point " << i;
@@ -362,31 +343,29 @@ TEST_F(DseFaultTest, StealingRescuesADeadWorkersShard)
 TEST_F(DseFaultTest, EvaluatorExceptionBecomesPointFailure)
 {
     // An exception escaping worker.evaluate is a *per-point* failure:
-    // the worker recovers and keeps its shard; only the throwing point
+    // the worker recovers and keeps evaluating; only the throwing point
     // is lost, as a structured kWorkerFailed record.
     LeNetSweep& s = lenet();
     constexpr size_t kBadIndex = 7;
     auto inner = s.factory();
-    SweepOutcome<DesignQor> outcome =
-        ShardedSweep::runResilient<DesignQor>(
-            s.grid,
-            [&]() {
-                ResilientWorker<DesignQor> worker = inner();
-                auto evaluate = worker.evaluate;
-                worker.evaluate =
-                    [evaluate](size_t index,
-                               const std::vector<int64_t>& vals)
-                    -> Result<DesignQor> {
-                    if (index == kBadIndex)
-                        throw std::runtime_error("estimator exploded");
-                    return evaluate(index, vals);
-                };
-                return worker;
-            },
-            2);
+    StrategyOutcome<DesignQor> outcome = exhaustiveSweep(
+        s.grid,
+        [&]() {
+            ResilientWorker<DesignQor> worker = inner();
+            auto evaluate = worker.evaluate;
+            worker.evaluate = [evaluate](size_t index,
+                                         const std::vector<int64_t>& vals)
+                -> Result<DesignQor> {
+                if (index == kBadIndex)
+                    throw std::runtime_error("estimator exploded");
+                return evaluate(index, vals);
+            };
+            return worker;
+        },
+        2);
 
-    EXPECT_TRUE(outcome.workerFailures.empty());
-    EXPECT_FALSE(outcome.stopped);
+    EXPECT_TRUE(outcome.stats.workerFailures.empty());
+    EXPECT_FALSE(outcome.stats.stopped);
     ASSERT_EQ(outcome.failures.size(), 1u);
     EXPECT_EQ(outcome.failures[0].index, kBadIndex);
     EXPECT_EQ(outcome.failures[0].diag.code, ErrorCode::kWorkerFailed);
@@ -408,27 +387,27 @@ TEST_F(DseFaultTest, ExpiredDeadlineStopsBetweenPoints)
     LeNetSweep& s = lenet();
     SweepLimits limits;
     limits.deadlineSeconds = 1e-9;  // expired by the first check
-    SweepOutcome<DesignQor> outcome = s.run(2, limits);
-    EXPECT_TRUE(outcome.stopped);
-    ASSERT_TRUE(outcome.stopReason.has_value());
-    EXPECT_EQ(outcome.stopReason->code, ErrorCode::kDeadlineExceeded);
-    EXPECT_EQ(outcome.evaluated, 0u);
+    StrategyOutcome<DesignQor> outcome = s.run(2, limits);
+    EXPECT_TRUE(outcome.stats.stopped);
+    ASSERT_TRUE(outcome.stats.stopReason.has_value());
+    EXPECT_EQ(outcome.stats.stopReason->code, ErrorCode::kDeadlineExceeded);
+    EXPECT_EQ(outcome.stats.evaluated, 0u);
     EXPECT_FALSE(outcome.allCompleted());
     EXPECT_TRUE(outcome.failures.empty());
 }
 
-TEST_F(DseFaultTest, CancelTokenStopsAllShards)
+TEST_F(DseFaultTest, CancelTokenStopsAllWorkers)
 {
     LeNetSweep& s = lenet();
     CancelToken cancel;
     cancel.cancel();
     SweepLimits limits;
     limits.cancel = &cancel;
-    SweepOutcome<DesignQor> outcome = s.run(2, limits);
-    EXPECT_TRUE(outcome.stopped);
-    ASSERT_TRUE(outcome.stopReason.has_value());
-    EXPECT_EQ(outcome.stopReason->code, ErrorCode::kCancelled);
-    EXPECT_EQ(outcome.evaluated, 0u);
+    StrategyOutcome<DesignQor> outcome = s.run(2, limits);
+    EXPECT_TRUE(outcome.stats.stopped);
+    ASSERT_TRUE(outcome.stats.stopReason.has_value());
+    EXPECT_EQ(outcome.stats.stopReason->code, ErrorCode::kCancelled);
+    EXPECT_EQ(outcome.stats.evaluated, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -449,11 +428,11 @@ TEST_F(DseFaultTest, InterruptedSweepResumesFromJournalByteExactly)
         SweepLimits limits;
         limits.pointBudget = 12;
         limits.journal = &journal;
-        SweepOutcome<DesignQor> outcome = s.run(1, limits);
-        EXPECT_TRUE(outcome.stopped);
-        ASSERT_TRUE(outcome.stopReason.has_value());
-        EXPECT_EQ(outcome.stopReason->code, ErrorCode::kCancelled);
-        EXPECT_EQ(outcome.evaluated, 12u);
+        StrategyOutcome<DesignQor> outcome = s.run(1, limits);
+        EXPECT_TRUE(outcome.stats.stopped);
+        ASSERT_TRUE(outcome.stats.stopReason.has_value());
+        EXPECT_EQ(outcome.stats.stopReason->code, ErrorCode::kCancelled);
+        EXPECT_EQ(outcome.stats.evaluated, 12u);
         EXPECT_FALSE(outcome.allCompleted());
     }
 
@@ -465,11 +444,11 @@ TEST_F(DseFaultTest, InterruptedSweepResumesFromJournalByteExactly)
         EXPECT_EQ(journal.size(), 12u);
         SweepLimits limits;
         limits.journal = &journal;
-        SweepOutcome<DesignQor> outcome = s.run(4, limits);
+        StrategyOutcome<DesignQor> outcome = s.run(4, limits);
         EXPECT_TRUE(outcome.allCompleted());
-        EXPECT_FALSE(outcome.stopped);
-        EXPECT_EQ(outcome.restored, 12u);
-        EXPECT_EQ(outcome.evaluated, s.grid.size() - 12u);
+        EXPECT_FALSE(outcome.stats.stopped);
+        EXPECT_EQ(outcome.stats.restored, 12u);
+        EXPECT_EQ(outcome.stats.evaluated, s.grid.size() - 12u);
         // The resumed run's merged results are the clean run's results —
         // restored points byte-exactly, re-evaluated points by the
         // engine's determinism. This is the output_sha256 guarantee.
@@ -482,16 +461,13 @@ TEST_F(DseFaultTest, InterruptedSweepResumesFromJournalByteExactly)
 
 TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
 {
-    // The journal contract is order- and scheduler-agnostic: a sweep
-    // interrupted under {gray, stealing, 2 threads} — where *which* 12
+    // The journal contract is order- and timing-agnostic: a sweep
+    // interrupted under {gray, 2 stealing workers} — where *which* 12
     // points got journaled is timing-dependent — still resumes to the
     // clean run's exact results, because records key on the grid index
     // and point fingerprint, never on enumeration position.
     LeNetSweep& s = lenet();
     std::string path = tempJournalPath("gray_steal_resume");
-    SweepSchedule schedule;
-    schedule.order = PointOrder::kGrayCode;
-    schedule.scheduler = SweepScheduler::kStealing;
 
     {
         SweepJournal journal;
@@ -500,10 +476,10 @@ TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
         SweepLimits limits;
         limits.pointBudget = 12;
         limits.journal = &journal;
-        SweepOutcome<DesignQor> outcome = s.run(2, limits, schedule);
-        EXPECT_TRUE(outcome.stopped);
+        StrategyOutcome<DesignQor> outcome = s.run(2, limits, PointOrder::kGrayCode);
+        EXPECT_TRUE(outcome.stats.stopped);
         // The budget is exact even with workers racing for points.
-        EXPECT_EQ(outcome.evaluated, 12u);
+        EXPECT_EQ(outcome.stats.evaluated, 12u);
         EXPECT_FALSE(outcome.allCompleted());
     }
     {
@@ -513,11 +489,11 @@ TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
         EXPECT_EQ(journal.size(), 12u);
         SweepLimits limits;
         limits.journal = &journal;
-        SweepOutcome<DesignQor> outcome = s.run(4, limits, schedule);
+        StrategyOutcome<DesignQor> outcome = s.run(4, limits, PointOrder::kGrayCode);
         EXPECT_TRUE(outcome.allCompleted());
-        EXPECT_FALSE(outcome.stopped);
-        EXPECT_EQ(outcome.restored, 12u);
-        EXPECT_EQ(outcome.evaluated, s.grid.size() - 12u);
+        EXPECT_FALSE(outcome.stats.stopped);
+        EXPECT_EQ(outcome.stats.restored, 12u);
+        EXPECT_EQ(outcome.stats.evaluated, s.grid.size() - 12u);
         for (size_t i = 0; i < s.grid.size(); ++i)
             EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i]))
                 << "point " << i;
@@ -527,53 +503,72 @@ TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
 
 TEST_F(DseFaultTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
 {
+    // Two corruptions of a 12-record journal: the last 5 bytes chopped
+    // off (a crash mid-append) drops the last record; one flipped
+    // payload byte in record 3 (bit rot) drops records 3 and up. Either
+    // way the resumed sweep restores the intact prefix and reproduces
+    // the clean run.
     LeNetSweep& s = lenet();
-    std::string path = tempJournalPath("corrupt");
+    // 24-byte header; each record is (index, fingerprint, payload,
+    // checksum) with 8-byte fields around the payload.
+    const size_t record = 8 + 8 + sizeof(DesignQor) + 8;
+    struct Corruption {
+        const char* name;
+        bool truncate;    ///< Chop the tail, else flip a byte.
+        size_t restored;  ///< Intact records left after the damage.
+    };
+    for (const Corruption& c : {Corruption{"truncated_tail", true, 11},
+                                Corruption{"flipped_byte", false, 3}}) {
+        SCOPED_TRACE(c.name);
+        std::string path = tempJournalPath(c.name);
+        {
+            SweepJournal journal;
+            ASSERT_FALSE(journal.open(path, s.grid.contentHash(),
+                                      sizeof(DesignQor)));
+            SweepLimits limits;
+            limits.pointBudget = 12;
+            limits.journal = &journal;
+            s.run(1, limits);
+        }
 
-    {
+        std::string bytes;
+        {
+            std::ifstream in(path, std::ios::binary);
+            ASSERT_TRUE(in.good());
+            bytes.assign(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
+        }
+        ASSERT_EQ(bytes.size(), 24 + 12 * record);
+        if (c.truncate) {
+            bytes.resize(bytes.size() - 5);
+        } else {
+            const size_t target = 24 + 3 * record + 16;
+            bytes[target] = static_cast<char>(bytes[target] ^ 0x5a);
+        }
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        }
+
         SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, s.grid.contentHash(),
-                                  sizeof(DesignQor)));
-        SweepLimits limits;
-        limits.pointBudget = 12;
-        limits.journal = &journal;
-        s.run(1, limits);
-    }
-
-    // Chop off the last 5 bytes — a crash mid-append.
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        ASSERT_TRUE(in.good());
-        bytes.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-    ASSERT_GT(bytes.size(), 5u);
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() - 5));
-    }
-
-    {
-        SweepJournal journal;
-        auto diag = journal.open(path, s.grid.contentHash(),
-                                 sizeof(DesignQor));
+        auto diag =
+            journal.open(path, s.grid.contentHash(), sizeof(DesignQor));
         ASSERT_TRUE(diag.has_value());
         EXPECT_EQ(diag->code, ErrorCode::kJournalCorrupt);
-        EXPECT_EQ(journal.loadStats().restored, 11u);
+        EXPECT_EQ(journal.loadStats().restored, c.restored);
         EXPECT_EQ(journal.loadStats().droppedCorrupt, 1u);
 
         SweepLimits limits;
         limits.journal = &journal;
-        SweepOutcome<DesignQor> outcome = s.run(2, limits);
+        StrategyOutcome<DesignQor> outcome = s.run(2, limits);
         EXPECT_TRUE(outcome.allCompleted());
-        EXPECT_EQ(outcome.restored, 11u);
+        EXPECT_EQ(outcome.stats.restored, c.restored);
+        EXPECT_EQ(outcome.stats.evaluated, s.grid.size() - c.restored);
         for (size_t i = 0; i < s.grid.size(); ++i)
             EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i]))
                 << "point " << i;
+        std::remove(path.c_str());
     }
-    std::remove(path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

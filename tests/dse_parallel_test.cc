@@ -1,14 +1,17 @@
 /**
  * @file
- * Concurrency tests for the thread-safe IR core and the sharded DSE
- * engine (src/dse/).
+ * Concurrency tests for the thread-safe IR core and the DSE sweep
+ * engine (src/dse/, runStrategySweep).
  *
  *  - Grid mechanics: deterministic row-major enumeration and decode.
- *  - Sharded-vs-serial equivalence: a LeNet factor sweep run serially
- *    and with 2/4/8 workers must produce *identical* per-point QoR
- *    vectors (latency, interval, every resource column) and identical
- *    Pareto fronts — the invariant behind the benches' stable
- *    output_sha256 at any HIDA_BENCH_THREADS.
+ *  - Work distribution: every point is claimed exactly once at any
+ *    worker count, also when one worker dies in its init.
+ *  - Parallel-vs-serial equivalence: a LeNet factor sweep run at
+ *    1/2/4/8 workers, in either point order, must produce *identical*
+ *    per-point QoR (latency, interval, every resource column) and
+ *    identical Pareto fronts to a plain serial loop — the invariant
+ *    behind the benches' stable output_sha256 at any
+ *    HIDA_BENCH_THREADS.
  *  - Interner / type-uniquer hammers: N threads interning overlapping
  *    key sets and building overlapping types, then cross-thread
  *    agreement checks (same string -> same id, same structure -> same
@@ -26,6 +29,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +38,7 @@
 #include "src/dialect/affine/affine_ops.h"
 #include "src/driver/driver.h"
 #include "src/dse/grid.h"
-#include "src/dse/sweep.h"
+#include "src/dse/strategy.h"
 #include "src/estimator/qor.h"
 #include "src/models/dnn_models.h"
 #include "src/transforms/passes.h"
@@ -62,32 +67,6 @@ TEST(GridTest, RowMajorEnumerationMatchesNestedLoops)
             expected.push_back({a, b, 7});
     for (size_t i = 0; i < grid.size(); ++i)
         EXPECT_EQ(grid.point(i), expected[i]) << "point " << i;
-}
-
-TEST(GridTest, ShardBoundsCoverEveryPointOnce)
-{
-    // runShards must partition [0, n) exactly, for any worker count —
-    // under both the static and the work-stealing scheduler.
-    for (SweepScheduler scheduler :
-         {SweepScheduler::kStatic, SweepScheduler::kStealing}) {
-        for (unsigned threads : {1u, 2u, 3u, 4u, 8u, 13u}) {
-            std::vector<std::atomic<int>> seen(101);
-            std::vector<Diagnostic> failures = ShardedSweep::runShards(
-                seen.size(),
-                [&]() {
-                    return [&](size_t begin, size_t end) {
-                        for (size_t i = begin; i < end; ++i)
-                            seen[i].fetch_add(1);
-                    };
-                },
-                threads, scheduler);
-            EXPECT_TRUE(failures.empty());
-            for (size_t i = 0; i < seen.size(); ++i)
-                EXPECT_EQ(seen[i].load(), 1)
-                    << "threads=" << threads << " scheduler="
-                    << sweepSchedulerName(scheduler);
-        }
-    }
 }
 
 TEST(GridTest, GrayCodeOrderIsASingleStepBijection)
@@ -133,7 +112,7 @@ TEST(GridTest, GrayCodeOrderIsASingleStepBijection)
         EXPECT_TRUE(seen[i]) << "index " << i << " never visited";
 }
 
-TEST(GridTest, OrderAndSchedulerParseRoundTrips)
+TEST(GridTest, OrderParseRoundTrips)
 {
     EXPECT_EQ(parsePointOrder("gray"), PointOrder::kGrayCode);
     EXPECT_EQ(parsePointOrder("row-major"), PointOrder::kRowMajor);
@@ -142,43 +121,87 @@ TEST(GridTest, OrderAndSchedulerParseRoundTrips)
     EXPECT_EQ(pointOrderName(PointOrder::kGrayCode), "gray");
     EXPECT_EQ(pointOrderName(PointOrder::kRowMajor), "row-major");
 
-    EXPECT_EQ(parseSweepScheduler("static"), SweepScheduler::kStatic);
-    EXPECT_EQ(parseSweepScheduler("steal"), SweepScheduler::kStealing);
-    EXPECT_EQ(parseSweepScheduler("lifo"), std::nullopt);
-    EXPECT_EQ(sweepSchedulerName(SweepScheduler::kStatic), "static");
-    EXPECT_EQ(sweepSchedulerName(SweepScheduler::kStealing), "steal");
-
-    // Env: unset keeps the fast-path defaults; explicit values stick;
+    // Env: unset keeps the fast-path default; an explicit value sticks;
     // garbage is a fatal user error (exit 65, never a silent default).
     unsetenv("HIDA_DSE_ORDER");
-    unsetenv("HIDA_DSE_SCHED");
-    SweepSchedule defaults = sweepScheduleFromEnv();
-    EXPECT_EQ(defaults.order, PointOrder::kGrayCode);
-    EXPECT_EQ(defaults.scheduler, SweepScheduler::kStealing);
+    EXPECT_EQ(sweepScheduleFromEnv().order, PointOrder::kGrayCode);
 
     setenv("HIDA_DSE_ORDER", "row-major", 1);
-    setenv("HIDA_DSE_SCHED", "static", 1);
-    SweepSchedule explicit_schedule = sweepScheduleFromEnv();
-    EXPECT_EQ(explicit_schedule.order, PointOrder::kRowMajor);
-    EXPECT_EQ(explicit_schedule.scheduler, SweepScheduler::kStatic);
+    EXPECT_EQ(sweepScheduleFromEnv().order, PointOrder::kRowMajor);
     unsetenv("HIDA_DSE_ORDER");
-    unsetenv("HIDA_DSE_SCHED");
 
     setenv("HIDA_DSE_ORDER", "zorder", 1);
     EXPECT_EXIT(sweepScheduleFromEnv(),
                 ::testing::ExitedWithCode(kFatalExitCode),
                 "invalid HIDA_DSE_ORDER");
     unsetenv("HIDA_DSE_ORDER");
-    setenv("HIDA_DSE_SCHED", "lifo", 1);
-    EXPECT_EXIT(sweepScheduleFromEnv(),
-                ::testing::ExitedWithCode(kFatalExitCode),
-                "invalid HIDA_DSE_SCHED");
-    unsetenv("HIDA_DSE_SCHED");
 }
 
 //===----------------------------------------------------------------------===//
-// Sharded sweep == serial sweep
+// Sweep engine: work distribution and parallel == serial
 //===----------------------------------------------------------------------===//
+
+/** Exhaustive runStrategySweep of @p grid in @p order. */
+template <typename R>
+StrategyOutcome<R>
+exhaustiveSweep(const DesignPointGrid& grid,
+                const std::function<ResilientWorker<R>()>& factory,
+                unsigned threads, PointOrder order = PointOrder::kGrayCode)
+{
+    StrategyOptions options;
+    options.order = order;
+    std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, options);
+    return runStrategySweep<R>(
+        grid, *strategy, factory,
+        [](size_t index, const R&) { return ParetoSample{index, 0.0, 0.0}; },
+        threads);
+}
+
+TEST(SweepEngineTest, EveryPointIsClaimedExactlyOnce)
+{
+    // The pool's work queue must partition the batch exactly, for any
+    // worker count — also when one worker's init throws and the
+    // survivors have to drain its slice.
+    DesignPointGrid grid;
+    std::vector<int64_t> xs(101);
+    std::iota(xs.begin(), xs.end(), 0);
+    grid.addAxis("x", xs);
+    for (int fatal_init : {0, 2}) {
+        for (unsigned threads : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 13u}) {
+            if (fatal_init != 0 && threads == 1)
+                continue;  // A lone dead worker has no one to rescue it.
+            std::vector<std::atomic<int>> seen(grid.size());
+            std::atomic<int> inits{0};
+            StrategyOutcome<int64_t> outcome = exhaustiveSweep<int64_t>(
+                grid,
+                [&]() {
+                    if (inits.fetch_add(1) + 1 == fatal_init)
+                        throw std::runtime_error("worker init blew up");
+                    ResilientWorker<int64_t> worker;
+                    worker.evaluate =
+                        [&seen](size_t index,
+                                const std::vector<int64_t>& vals)
+                        -> Result<int64_t> {
+                        seen[index].fetch_add(1);
+                        return vals[0];
+                    };
+                    return worker;
+                },
+                threads);
+            EXPECT_EQ(outcome.stats.workerFailures.size(),
+                      fatal_init != 0 ? 1u : 0u)
+                << "threads=" << threads;
+            EXPECT_TRUE(outcome.allCompleted()) << "threads=" << threads;
+            EXPECT_TRUE(outcome.failures.empty());
+            for (size_t i = 0; i < seen.size(); ++i) {
+                EXPECT_EQ(seen[i].load(), 1)
+                    << "point " << i << " threads=" << threads
+                    << " fatal_init=" << fatal_init;
+                EXPECT_EQ(outcome.results[i], static_cast<int64_t>(i));
+            }
+        }
+    }
+}
 
 bool
 qorEq(const DesignQor& a, const DesignQor& b)
@@ -211,7 +234,7 @@ paretoFront(const std::vector<DesignQor>& qors, const TargetDevice& device)
     return front;
 }
 
-TEST(ShardedSweepTest, ThreadCountNeverChangesResults)
+TEST(SweepEngineTest, ThreadCountNeverChangesResults)
 {
     TargetDevice device = TargetDevice::pynqZ2();
     OwnedModule prototype = buildLeNet(1);
@@ -232,57 +255,56 @@ TEST(ShardedSweepTest, ThreadCountNeverChangesResults)
     grid.addDirectiveAxis("cpf3", {1, 16}, 3, "cpf_loop");
     ASSERT_EQ(grid.size(), 48u);
 
-    auto sweep = [&](unsigned threads, const SweepSchedule& schedule) {
-        // The same CloneSweepWorker recipe the fig1 bench runs.
-        return ShardedSweep::run<DesignQor>(
-            grid,
-            [&]() {
-                auto w = std::make_shared<CloneSweepWorker>(
-                    prototype.get(),
-                    createArrayPartitionPass(partition_options), device);
-                return [w, &grid](size_t, const std::vector<int64_t>& vals) {
-                    return w->evaluate(grid, vals);
-                };
-            },
-            threads, schedule);
-    };
+    // The reference: a plain serial loop over one CloneSweepWorker, in
+    // grid order.
+    std::vector<DesignQor> serial;
+    {
+        CloneSweepWorker worker(prototype.get(),
+                                createArrayPartitionPass(partition_options),
+                                device);
+        std::vector<int64_t> vals;
+        for (size_t i = 0; i < grid.size(); ++i) {
+            grid.decode(i, vals);
+            Result<DesignQor> qor = worker.evaluateChecked(grid, vals);
+            ASSERT_TRUE(qor.ok()) << "point " << i;
+            serial.push_back(qor.value());
+        }
+    }
 
-    // The reference: serial, row-major, static — byte-for-byte the
-    // pre-scheduler engine. Every {order} x {scheduler} x {threads}
-    // combination must reproduce it exactly: results merge by grid
-    // index, so neither the visit order nor which worker lands on a
-    // point may leak into the output.
-    SweepSchedule reference_schedule;
-    reference_schedule.order = PointOrder::kRowMajor;
-    reference_schedule.scheduler = SweepScheduler::kStatic;
-    std::vector<DesignQor> serial = sweep(1, reference_schedule);
-    ASSERT_EQ(serial.size(), grid.size());
+    // Every {order} x {threads} sweep (the same CloneSweepWorker recipe
+    // the fig1 bench runs) must reproduce it exactly: results merge by
+    // grid index, so neither the visit order nor which worker lands on
+    // a point may leak into the output.
+    std::function<ResilientWorker<DesignQor>()> factory = [&]() {
+        auto w = std::make_shared<CloneSweepWorker>(
+            prototype.get(), createArrayPartitionPass(partition_options),
+            device);
+        ResilientWorker<DesignQor> worker;
+        worker.evaluate = [w, &grid](size_t, const std::vector<int64_t>& vals)
+            -> Result<DesignQor> { return w->evaluateChecked(grid, vals); };
+        worker.recover = [w]() { w->rebuild(); };
+        return worker;
+    };
     for (PointOrder order : {PointOrder::kRowMajor, PointOrder::kGrayCode}) {
-        for (SweepScheduler scheduler :
-             {SweepScheduler::kStatic, SweepScheduler::kStealing}) {
-            for (unsigned threads : {2u, 4u, 8u}) {
-                SweepSchedule schedule;
-                schedule.order = order;
-                schedule.scheduler = scheduler;
-                std::vector<DesignQor> sharded = sweep(threads, schedule);
-                ASSERT_EQ(sharded.size(), serial.size());
-                for (size_t i = 0; i < serial.size(); ++i)
-                    EXPECT_TRUE(qorEq(serial[i], sharded[i]))
-                        << "point " << i << " diverged at threads=" << threads
-                        << " order=" << pointOrderName(order)
-                        << " scheduler=" << sweepSchedulerName(scheduler);
-                EXPECT_EQ(paretoFront(serial, device),
-                          paretoFront(sharded, device))
-                    << "Pareto front diverged at threads=" << threads;
-            }
+        for (unsigned threads : {1u, 2u, 4u, 8u}) {
+            StrategyOutcome<DesignQor> outcome =
+                exhaustiveSweep<DesignQor>(grid, factory, threads, order);
+            ASSERT_TRUE(outcome.allCompleted());
+            for (size_t i = 0; i < serial.size(); ++i)
+                EXPECT_TRUE(qorEq(serial[i], outcome.results[i]))
+                    << "point " << i << " diverged at threads=" << threads
+                    << " order=" << pointOrderName(order);
+            EXPECT_EQ(paretoFront(serial, device),
+                      paretoFront(outcome.results, device))
+                << "Pareto front diverged at threads=" << threads;
         }
     }
 }
 
-TEST(ShardedSweepTest, IndependentCompilesPerWorker)
+TEST(SweepEngineTest, IndependentCompilesPerWorker)
 {
     // fig10/fig11-style sweep: each point is a full compile on a module
-    // the worker builds itself. Serial and sharded runs must agree on
+    // the worker builds itself. Serial and parallel runs must agree on
     // every reported metric.
     TargetDevice device = TargetDevice::vu9pSlr();
     DesignPointGrid grid;
@@ -290,28 +312,36 @@ TEST(ShardedSweepTest, IndependentCompilesPerWorker)
     grid.addAxis("tile", {4, 32});
 
     auto sweep = [&](unsigned threads) {
-        return ShardedSweep::run<CompileResult>(
-            grid,
-            [&]() {
-                return [&device](size_t, const std::vector<int64_t>& vals) {
-                    OwnedModule module = buildDnnModel("ResNet-18", nullptr);
-                    FlowOptions options = optionsFor(Flow::kHida);
-                    options.maxParallelFactor = vals[0];
-                    options.tileSize = vals[1];
-                    return compile(module.get(), options, device);
-                };
-            },
-            threads);
+        StrategyOutcome<CompileResult> outcome =
+            exhaustiveSweep<CompileResult>(
+                grid,
+                [&]() {
+                    ResilientWorker<CompileResult> worker;
+                    worker.evaluate =
+                        [&device](size_t, const std::vector<int64_t>& vals)
+                        -> Result<CompileResult> {
+                        OwnedModule module =
+                            buildDnnModel("ResNet-18", nullptr);
+                        FlowOptions options = optionsFor(Flow::kHida);
+                        options.maxParallelFactor = vals[0];
+                        options.tileSize = vals[1];
+                        return compile(module.get(), options, device);
+                    };
+                    return worker;
+                },
+                threads);
+        EXPECT_TRUE(outcome.allCompleted()) << "threads=" << threads;
+        return outcome.results;
     };
 
     std::vector<CompileResult> serial = sweep(1);
-    std::vector<CompileResult> sharded = sweep(4);
-    ASSERT_EQ(serial.size(), sharded.size());
+    std::vector<CompileResult> parallel = sweep(4);
+    ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_TRUE(qorEq(serial[i].qor, sharded[i].qor)) << "point " << i;
-        EXPECT_EQ(serial[i].overload, sharded[i].overload) << "point " << i;
+        EXPECT_TRUE(qorEq(serial[i].qor, parallel[i].qor)) << "point " << i;
+        EXPECT_EQ(serial[i].overload, parallel[i].overload) << "point " << i;
         EXPECT_EQ(serial[i].effectiveThroughput,
-                  sharded[i].effectiveThroughput)
+                  parallel[i].effectiveThroughput)
             << "point " << i;
     }
 }

@@ -12,9 +12,10 @@
  *    workers (randomness is keyed on (seed, iteration, counter), never
  *    a thread id or completion order).
  *  - Exhaustive equivalence: the exhaustive strategy through
- *    runStrategySweep produces the same per-point results as
- *    ShardedSweep::runResilient — the invariant behind the benches'
- *    stable output_sha256.
+ *    runStrategySweep at 1/2/4/8 workers produces bit-identical
+ *    per-point results to a plain serial loop over
+ *    CloneSweepWorker::evaluateChecked (the reference implementation)
+ *    — the invariant behind the benches' stable output_sha256.
  *  - Evolve acceptance: on the full fig1 LeNet factor grid (2400
  *    points per mode/batch config), evolve at the default pinned seed
  *    recovers >= 95% of the exhaustive Pareto front spending <= 10% of
@@ -360,26 +361,39 @@ TEST(StrategySweepTest, EvolveSeedDeterministicAcrossThreadCounts)
     EXPECT_NE(completedLatencies(t1), completedLatencies(other));
 }
 
-TEST(StrategySweepTest, ExhaustiveMatchesRunResilient)
+TEST(StrategySweepTest, ExhaustiveMatchesSerialLoop)
 {
-    StrategyOutcome<DesignQor> strategic =
-        lenet().run(StrategyKind::kExhaustive, 3);
-    SweepOutcome<DesignQor> direct = ShardedSweep::runResilient<DesignQor>(
-        lenet().grid, lenet().factory(), 3);
-
-    ASSERT_EQ(strategic.results.size(), direct.results.size());
-    ASSERT_EQ(strategic.completed, direct.completed);
-    for (size_t i = 0; i < direct.results.size(); ++i) {
-        if (!direct.completed[i])
-            continue;
-        // Bit-identical QoR per point — the output_sha256 invariant.
-        EXPECT_EQ(std::memcmp(&strategic.results[i], &direct.results[i],
-                              sizeof(DesignQor)),
-                  0)
-            << "point " << i << " diverged";
+    // The reference implementation: one CloneSweepWorker, grid order.
+    LeNetStrategySweep& s = lenet();
+    std::vector<DesignQor> serial;
+    {
+        CloneSweepWorker worker(s.prototype.get(),
+                                createArrayPartitionPass(s.partitionOptions),
+                                s.device);
+        std::vector<int64_t> vals;
+        for (size_t i = 0; i < s.grid.size(); ++i) {
+            s.grid.decode(i, vals);
+            Result<DesignQor> qor = worker.evaluateChecked(s.grid, vals);
+            ASSERT_TRUE(qor.ok()) << "point " << i;
+            serial.push_back(qor.value());
+        }
     }
-    EXPECT_EQ(strategic.stats.proposed, lenet().grid.size());
-    EXPECT_TRUE(strategic.failures.empty());
+
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        StrategyOutcome<DesignQor> strategic =
+            s.run(StrategyKind::kExhaustive, threads);
+        ASSERT_EQ(strategic.results.size(), serial.size());
+        ASSERT_TRUE(strategic.allCompleted()) << "threads=" << threads;
+        for (size_t i = 0; i < serial.size(); ++i)
+            // Bit-identical QoR per point — the output_sha256 invariant.
+            EXPECT_EQ(std::memcmp(&strategic.results[i], &serial[i],
+                                  sizeof(DesignQor)),
+                      0)
+                << "point " << i << " diverged at threads=" << threads;
+        EXPECT_EQ(strategic.stats.proposed, s.grid.size());
+        EXPECT_EQ(strategic.stats.batches, 1u);
+        EXPECT_TRUE(strategic.failures.empty());
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -425,8 +439,10 @@ TEST(EvolveAcceptanceTest, RecoversLenetParetoFrontAtTenPercentBudget)
     };
 
     // Exhaustive reference front (feasible points only).
-    SweepOutcome<DesignQor> reference =
-        ShardedSweep::runResilient<DesignQor>(grid, factory, 4);
+    std::unique_ptr<SearchStrategy> exhaustive =
+        makeStrategy(grid, StrategyOptions());
+    StrategyOutcome<DesignQor> reference = runStrategySweep<DesignQor>(
+        grid, *exhaustive, factory, objective, 4);
     std::vector<ParetoSample> feasible;
     for (size_t i = 0; i < reference.results.size(); ++i) {
         if (!reference.completed[i])
@@ -443,16 +459,13 @@ TEST(EvolveAcceptanceTest, RecoversLenetParetoFrontAtTenPercentBudget)
         so.kind = kind;  // Pinned default seed 42, default 10% budget.
         so.costLimit = 1.05;
         std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, so);
-        // Static schedule: the memo-hit comparison below needs the
-        // deterministic point-to-worker assignment — under kStealing
-        // the assignment (and so each worker's cache history) depends
-        // on timing. Results would be identical either way; the cache
-        // *counters* would not be stable.
-        SweepSchedule schedule;
-        schedule.scheduler = SweepScheduler::kStatic;
+        // One worker: the memo-hit comparison below needs a
+        // deterministic point-to-worker assignment — with several
+        // stealing workers the assignment (and so each worker's cache
+        // history) depends on timing. Results would be identical either
+        // way; the cache *counters* would not be stable.
         return runStrategySweep<DesignQor>(grid, *strategy, factory,
-                                           objective, 4, SweepLimits(),
-                                           schedule);
+                                           objective, 1);
     };
     StrategyOutcome<DesignQor> evolve = sample(StrategyKind::kEvolve);
 
