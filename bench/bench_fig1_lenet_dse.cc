@@ -20,11 +20,12 @@
  * from the feasible set instead of killing the run, and two env knobs
  * exercise the robustness paths:
  *   HIDA_SWEEP_JOURNAL=<prefix>   checkpoint each (mode, batch) sweep to
+ *                                 the QorStore file
  *                                 <prefix>_{df|nodf}_b<batch>.jrnl and
  *                                 resume from it on restart;
  *   HIDA_SWEEP_DEADLINE_MS=<ms>   wall-clock budget per sweep.
  * SIGINT/SIGTERM trip the process shutdown token (src/service/
- * shutdown.h): the sweep stops between points, flushes its journal and
+ * shutdown.h): the sweep stops between points, flushes its checkpoint and
  * the bench exits 128+sig — completed points are never lost mid-write.
  * On a clean, unlimited run stdout is identical at any thread count
  * (the bench.sh serial-vs-threaded sha gate proves it).
@@ -150,7 +151,7 @@ main()
 {
     // SIGINT/SIGTERM trip the process shutdown token, which every sweep
     // below observes between points: the interrupted sweep flushes its
-    // journal on the way out instead of dying mid-write, so completed
+    // checkpoint on the way out instead of dying mid-write, so completed
     // points survive to the next run.
     installShutdownHandlers();
     TargetDevice device = TargetDevice::pynqZ2();
@@ -204,16 +205,16 @@ main()
             SweepLimits limits;
             limits.deadlineSeconds = deadline_seconds;
             limits.cancel = &processShutdownToken();
-            SweepJournal journal;
+            QorStore checkpoint;
             if (journal_prefix != nullptr && *journal_prefix != '\0') {
                 std::string path =
                     std::string(journal_prefix) +
                     (dataflow ? "_df" : "_nodf") + "_b" +
                     std::to_string(batch) + ".jrnl";
-                if (auto diag = journal.open(path, grid.contentHash(),
-                                             sizeof(Point)))
+                if (auto diag = checkpoint.open(path, grid.contentHash(),
+                                                sizeof(Point)))
                     emitDiagnostic(*diag);
-                limits.journal = &journal;
+                limits.checkpoint = &checkpoint;
             }
 
             std::function<ResilientWorker<Point>()> factory =
@@ -264,11 +265,11 @@ main()
                     emitDiagnostic(*outcome.stats.stopReason);
             }
 
-            // Interrupted: the engine already flushed the journal on
+            // Interrupted: the engine already flushed the checkpoint on
             // its way out; exit with the conventional signal code
             // instead of burning the remaining configurations.
             if (processShutdownToken().cancelled()) {
-                inform("interrupted: journal flushed; exiting");
+                inform("interrupted: checkpoint flushed; exiting");
                 int sig = shutdownSignal();
                 return sig != 0 ? shutdownExitCode(sig) : 1;
             }

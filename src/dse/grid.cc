@@ -171,7 +171,7 @@ DesignPointGrid::contentHash() const
             h = hashCombine(h, static_cast<uint64_t>(v));
         h = hashCombine(h, static_cast<uint64_t>(axis.layerSeq));
         // By string, not intern id: intern order differs across runs,
-        // and the hash must match the one a dead process journaled.
+        // and the hash must match the one a dead process checkpointed.
         h = hashString(h, axis.loopTag ? axis.loopTag.str()
                                        : std::string_view());
     }

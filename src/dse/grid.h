@@ -138,16 +138,17 @@ class DesignPointGrid {
     /**
      * Process-independent structural hash of the grid: axis names,
      * value lists and directive bindings (by tag *string*, not intern
-     * id, so the hash is stable across runs). A sweep journal stores it
-     * so a resumed sweep refuses records from a different grid.
+     * id, so the hash is stable across runs). A sweep checkpoint is
+     * opened with it as its QorStore content tag, so a resumed sweep
+     * refuses records from a different grid.
      */
     uint64_t contentHash() const;
 
     /**
      * Process-independent fingerprint of one point's directive
      * assignment: contentHash() folded with the decoded axis values.
-     * Journal records carry it so an index from a reshaped grid can
-     * never be replayed as the wrong design point.
+     * Sweep checkpoints key their records by it, so an index from a
+     * reshaped grid can never be replayed as the wrong design point.
      */
     uint64_t pointFingerprint(size_t index) const;
 

@@ -50,8 +50,8 @@ QorStore::open(std::string path, uint64_t content_tag, size_t payload_size,
     if (path_.empty())
         return std::nullopt;  // in-memory memo only
 
-    // Same hygiene as the journal: a crash between snapshot write and
-    // rename orphans "<path>.tmp"; <path> is always the trusted copy.
+    // A crash between snapshot write and rename orphans "<path>.tmp";
+    // <path> is always the trusted copy (rename is atomic).
     std::remove((path_ + ".tmp").c_str());
 
     std::FILE* file = std::fopen(path_.c_str(), "rb");

@@ -4,24 +4,27 @@
 /**
  * @file
  * Crash-safe persistent QoR store: a fingerprint-keyed on-disk memo of
- * evaluated design-point results that outlives any single process.
- * Where SweepJournal checkpoints *one* sweep (keyed by point index,
- * pinned to one grid hash), the store memoizes *across* sweeps,
- * processes and tenants: keys are caller-composed process-independent
- * fingerprints (e.g. hashCombine(model hash, pointFingerprint)), so a
- * cold service, a CI run or another tenant warm-starts from results a
- * previous process computed. Bind via HIDA_QOR_STORE (see
- * docs/service.md).
+ * evaluated design-point results that outlives any single process. It
+ * is the repository's one durable record format, used two ways:
+ *  - DSE service memo (HIDA_QOR_STORE, see docs/service.md): keys are
+ *    caller-composed process-independent fingerprints (e.g.
+ *    hashCombine(model hash, pointFingerprint)), so a cold service, a
+ *    CI run or another tenant warm-starts from results a previous
+ *    process computed.
+ *  - Sweep checkpoint (SweepLimits::checkpoint, HIDA_SWEEP_JOURNAL):
+ *    content tag grid.contentHash(), key grid.pointFingerprint(i),
+ *    payload the sweep's result type. The fingerprint folds in the
+ *    grid hash and the index, so a record can only restore the exact
+ *    point that wrote it.
  *
- * Durability model (the journal's proven discipline, see
- * src/dse/journal.h):
+ * Durability model:
  *  - Whole-file snapshots to "<path>.tmp" + atomic rename; a stale
  *    .tmp orphaned by a crash is removed on open.
  *  - Versioned header pins magic/version/payload size/content tag; the
  *    content tag is a caller-chosen process-independent hash of the
- *    payload *meaning* (schema + estimator semantics version), so a
- *    store can never poison a reader that interprets payloads
- *    differently.
+ *    payload *meaning* (schema + estimator semantics version, or the
+ *    grid of a sweep checkpoint), so a store can never poison a reader
+ *    that interprets payloads differently.
  *  - Every record carries a checksum. Corrupt or foreign bytes are
  *    degraded to misses (reported as recoverable kStoreCorrupt
  *    Diagnostics) and never trusted — the worst a damaged store can do
@@ -31,19 +34,19 @@
  * HIDA_FAULT_INJECT=store:seed:rate a deterministic subset of lookups
  * (keyed on the thread's FaultScope key, i.e. the grid point index) is
  * forced to miss, exercising the recompute path without changing
- * results.
+ * results. Sites fire only under an active FaultScope; the sweep
+ * driver looks checkpoints up before entering the point's scope.
  *
  * Thread safety: all methods after open() are safe to call from any
- * thread — service worker pools and concurrent requests share a store
- * by design. The record map is serialized by one internal mutex;
- * flush() snapshots the records under that mutex but performs the file
- * I/O *outside* it (a second flush mutex serializes writers), so
- * lookups and inserts from request threads never stall behind disk.
- * insert() itself never flushes: it only accrues the dirty count, and
- * the owner drains it off the hot path — the DSE service's
- * housekeeping thread calls maybeFlush() on its tick, so batched
- * snapshots happen off the request threads entirely. open() itself is
- * driver-thread only, like SweepJournal::open().
+ * thread — service worker pools, concurrent requests and sweep workers
+ * share a store by design. The record map is serialized by one
+ * internal mutex; flush() snapshots the records under that mutex but
+ * performs the file I/O *outside* it (a second flush mutex serializes
+ * writers), so lookups and inserts never stall behind disk. insert()
+ * itself never flushes: it only accrues the dirty count, and the owner
+ * drains it — the DSE service's housekeeping thread calls maybeFlush()
+ * on its tick, a sweep worker calls it after each insert. open()
+ * itself is driver-thread only.
  */
 
 #include <cstddef>

@@ -10,7 +10,7 @@
  * results; runStrategySweep() drives one through a persistent worker
  * pool. It is the only sweep driver: an exhaustive sweep is the
  * exhaustive strategy (one batch holding the whole grid), so every
- * sweep gets the same per-point pipeline — fault isolation, journal
+ * sweep gets the same per-point pipeline — fault isolation, checkpoint
  * resume, deadline, cancel and point budget.
  *
  * Four built-in strategies (makeStrategy / HIDA_DSE_STRATEGY):
@@ -293,7 +293,7 @@ struct StrategySweepStats {
     size_t batches = 0;    ///< Non-empty batches proposed.
     size_t proposed = 0;   ///< Indices proposed across all batches.
     size_t evaluated = 0;  ///< Points newly evaluated (restores are free).
-    size_t restored = 0;   ///< Points restored from the journal.
+    size_t restored = 0;   ///< Points restored from the checkpoint.
     bool stopped = false;  ///< A SweepLimits condition ended the sweep.
     std::optional<Diagnostic> stopReason;  ///< Set when stopped.
     /** Workers retired by an escaped exception (code kWorkerFailed). */
@@ -329,7 +329,7 @@ struct StrategyOutcome {
  * Drive @p strategy over @p grid with @p threads persistent workers.
  *
  * Per batch: the strategy proposes indices (driver thread), the pool
- * evaluates them through one per-point pipeline (journal restore ->
+ * evaluates them through one per-point pipeline (checkpoint lookup ->
  * budget -> decode -> FaultScope(index) -> evaluate, failures recovered
  * per worker), and the batch's results are fed back in batch order.
  *
@@ -345,11 +345,15 @@ struct StrategyOutcome {
  *    index, never by worker or timing).
  *  - limits.deadlineSeconds / cancel / pointBudget stop all workers
  *    between points; completed results remain valid.
- *  - With limits.journal, completed points are checkpointed and a
- *    restarted sweep restores them byte-exactly instead of
- *    re-evaluating (same output hash as an uninterrupted run).
+ *  - With limits.checkpoint, every completed point is inserted into
+ *    that QorStore under its grid.pointFingerprint(i) key (a batched
+ *    snapshot flush follows via maybeFlush(), and the sweep flushes
+ *    once more on exit), and a restarted sweep looks each point up
+ *    first, restoring it byte-exactly instead of re-evaluating (same
+ *    output hash as an uninterrupted run). The lookup runs outside the
+ *    point's FaultScope, so a restore is never a fault-injection site.
  *
- * R must be trivially copyable (journaled byte-exactly) and
+ * R must be trivially copyable (checkpointed byte-exactly) and
  * default-constructible (placeholder for unreached points).
  *
  * @p objective maps a completed result to its ParetoSample objectives
@@ -372,15 +376,15 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
                  unsigned threads, const SweepLimits& limits = SweepLimits())
 {
     static_assert(std::is_trivially_copyable_v<R>,
-                  "sweep results are journaled as raw bytes");
+                  "sweep results are checkpointed as raw bytes");
     const size_t n = grid.size();
     StrategyOutcome<R> out;
     out.results.resize(n);
     out.completed.assign(n, 0);
 
-    SweepJournal* journal = limits.journal;
-    HIDA_ASSERT(journal == nullptr || journal->payloadSize() == sizeof(R),
-                "journal payload size does not match the result type");
+    QorStore* checkpoint = limits.checkpoint;
+    HIDA_ASSERT(checkpoint == nullptr || checkpoint->payloadSize() == sizeof(R),
+                "checkpoint payload size does not match the result type");
 
     std::atomic<bool> stop{false};
     // 0 = running, else the stop cause (first writer wins).
@@ -428,9 +432,11 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
                         break;
                     }
                     const size_t i = batch[pos];
-                    if (journal != nullptr &&
-                        journal->restore(i, grid.pointFingerprint(i),
-                                         &out.results[i])) {
+                    // Before the point's FaultScope: a checkpoint
+                    // restore is never a FaultSite::kStore site.
+                    if (checkpoint != nullptr &&
+                        checkpoint->lookup(grid.pointFingerprint(i),
+                                           &out.results[i])) {
                         out.completed[i] = 1;
                         restored.fetch_add(1, std::memory_order_relaxed);
                         continue;
@@ -474,9 +480,11 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
                     if (result.ok()) {
                         out.results[i] = result.value();
                         out.completed[i] = 1;
-                        if (journal != nullptr)
-                            journal->record(i, grid.pointFingerprint(i),
-                                            &out.results[i]);
+                        if (checkpoint != nullptr) {
+                            checkpoint->insert(grid.pointFingerprint(i),
+                                               &out.results[i]);
+                            checkpoint->maybeFlush();
+                        }
                     } else {
                         Diagnostic diag = result.takeDiag();
                         diag.severity = Severity::kWarning;
@@ -571,8 +579,8 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
       default:
         break;
     }
-    if (journal != nullptr)
-        journal->flush();
+    if (checkpoint != nullptr)
+        checkpoint->flush();
     return out;
 }
 

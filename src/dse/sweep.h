@@ -29,7 +29,7 @@
 
 #include "src/driver/driver.h"
 #include "src/dse/grid.h"
-#include "src/dse/journal.h"
+#include "src/dse/qor_store.h"
 #include "src/support/diagnostics.h"
 #include "src/support/fault_inject.h"
 
@@ -97,14 +97,15 @@ struct SweepLimits {
      * runStrategySweep() entry and checked between points. */
     double deadlineSeconds = 0.0;
     /** Max *newly evaluated* points across all workers (0: unbounded);
-     * journal-restored points are free. The deterministic interrupt
+     * checkpoint-restored points are free. The deterministic interrupt
      * knob for resume tests. */
     size_t pointBudget = 0;
     /** Cooperative cancellation (optional, not owned). */
     CancelToken* cancel = nullptr;
-    /** Checkpoint journal (optional, not owned). Must be open()ed for
-     * this grid's contentHash() and sizeof(R). */
-    SweepJournal* journal = nullptr;
+    /** Checkpoint store (optional, not owned): a QorStore open()ed
+     * with content tag grid.contentHash() and payload size sizeof(R);
+     * records are keyed by grid.pointFingerprint(i). */
+    QorStore* checkpoint = nullptr;
 };
 
 /**

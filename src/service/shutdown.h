@@ -7,7 +7,7 @@
  * the long-running benches: SIGINT/SIGTERM flip one async-signal-safe
  * CancelToken that every cooperative loop (sweeps via SweepLimits,
  * the service dispatcher, bench drivers) observes between points, so an
- * interrupt drains in-flight work and flushes journals/stores instead
+ * interrupt drains in-flight work and flushes checkpoints/stores instead
  * of dying mid-write.
  *
  * Handler contract:
@@ -16,7 +16,7 @@
  *    else (draining, flushing, exiting 128+sig) happens on normal
  *    threads that poll the token.
  *  - Second signal: the process is presumed stuck; _exit(128+sig)
- *    immediately (the journal/store snapshot discipline makes that
+ *    immediately (the QorStore snapshot discipline makes that
  *    safe: on-disk files are never torn).
  */
 

@@ -99,9 +99,9 @@ enum class Severity : uint8_t {
 };
 
 /**
- * Stable machine-readable cause codes. Scripts, journals and (later)
- * service responses key on these, so renumbering is a breaking change:
- * append only.
+ * Stable machine-readable cause codes. Scripts, stores and service
+ * responses key on these, so renumbering is a breaking change: append
+ * only (retired codes stay defined).
  */
 enum class ErrorCode : uint16_t {
     kOk = 0,
@@ -112,8 +112,10 @@ enum class ErrorCode : uint16_t {
     kEstimatorInvalidInput = 5,  ///< QoR estimator input validation.
     kDeadlineExceeded = 6,   ///< Sweep wall-clock budget exhausted.
     kCancelled = 7,          ///< Cooperative cancellation requested.
-    kJournalCorrupt = 8,     ///< Journal record failed its checksum.
-    kJournalMismatch = 9,    ///< Journal belongs to a different sweep.
+    kJournalCorrupt = 8,     ///< No longer emitted (was: sweep journal
+                             ///  checksum); checkpoints use kStoreCorrupt.
+    kJournalMismatch = 9,    ///< No longer emitted (was: journal of another
+                             ///  sweep); checkpoints use kStoreCorrupt.
     kFaultInjected = 10,     ///< HIDA_FAULT_INJECT forced this failure.
     kWorkerFailed = 11,      ///< Exception escaped a sweep worker boundary.
     kOverloaded = 12,        ///< Service admission control shed the request.

@@ -3,7 +3,7 @@
  * Robustness tests for the DSE sweep engine (runStrategySweep with the
  * exhaustive strategy): fault isolation, deterministic fault injection,
  * worker-boundary exceptions, stop conditions (deadline / cancel /
- * point budget) and the checkpoint journal.
+ * point budget) and checkpoint resume.
  *
  * The pinned contracts:
  *  - Injected failures land at the exact same grid points at 1, 2 or 4
@@ -12,9 +12,10 @@
  *  - Failures surface as PointFailure records in grid order; the sweep
  *    itself never dies.
  *  - An interrupted sweep (point budget here; wall-clock deadline in the
- *    benches) resumed from its journal reproduces the clean run's
- *    results byte-exactly, including across a truncated journal tail
- *    or a flipped byte inside the journal.
+ *    benches) resumed from its checkpoint (a QorStore keyed by point
+ *    fingerprint) reproduces the clean run's results byte-exactly,
+ *    including across a truncated checkpoint tail, a flipped byte
+ *    inside it, and under store fault injection.
  */
 
 #include <gtest/gtest.h>
@@ -24,13 +25,14 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/driver/driver.h"
 #include "src/dse/grid.h"
-#include "src/dse/journal.h"
+#include "src/dse/qor_store.h"
 #include "src/dse/strategy.h"
 #include "src/estimator/qor.h"
 #include "src/models/dnn_models.h"
@@ -147,12 +149,22 @@ class DseFaultTest : public ::testing::Test {
 };
 
 std::string
-tempJournalPath(const std::string& name)
+tempCheckpointPath(const std::string& name)
 {
     std::string path = ::testing::TempDir() + "hida_" + name + ".jrnl";
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
     return path;
+}
+
+/** Open @p checkpoint the way a sweep needs it: tagged with the grid's
+ * content hash, one DesignQor per record. */
+std::optional<Diagnostic>
+openCheckpoint(QorStore& checkpoint, const std::string& path,
+               const DesignPointGrid& grid, size_t batch_records = 64)
+{
+    return checkpoint.open(path, grid.contentHash(), sizeof(DesignQor),
+                           batch_records);
 }
 
 //===----------------------------------------------------------------------===//
@@ -417,17 +429,16 @@ TEST_F(DseFaultTest, CancelTokenStopsAllWorkers)
 TEST_F(DseFaultTest, InterruptedSweepResumesFromJournalByteExactly)
 {
     LeNetSweep& s = lenet();
-    std::string path = tempJournalPath("resume");
+    std::string path = tempCheckpointPath("resume");
 
     // Leg 1: one worker, hard point budget — a deterministic "kill" 12
-    // points in. The engine flushes the journal on the way out.
+    // points in. The engine flushes the checkpoint on the way out.
     {
-        SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, s.grid.contentHash(),
-                                  sizeof(DesignQor)));
+        QorStore checkpoint;
+        ASSERT_FALSE(openCheckpoint(checkpoint, path, s.grid));
         SweepLimits limits;
         limits.pointBudget = 12;
-        limits.journal = &journal;
+        limits.checkpoint = &checkpoint;
         StrategyOutcome<DesignQor> outcome = s.run(1, limits);
         EXPECT_TRUE(outcome.stats.stopped);
         ASSERT_TRUE(outcome.stats.stopReason.has_value());
@@ -436,14 +447,17 @@ TEST_F(DseFaultTest, InterruptedSweepResumesFromJournalByteExactly)
         EXPECT_FALSE(outcome.allCompleted());
     }
 
-    // Leg 2: a fresh process would open the journal anew; 4 workers.
+    // Leg 2: a fresh process would open the checkpoint anew; 4 workers.
+    // batch_records = 1 makes every insert due for a flush, so the four
+    // workers race maybeFlush() against each other and the closing
+    // flush() on every point (the TSan leg checks the store's locks).
     {
-        SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, s.grid.contentHash(),
-                                  sizeof(DesignQor)));
-        EXPECT_EQ(journal.size(), 12u);
+        QorStore checkpoint;
+        ASSERT_FALSE(openCheckpoint(checkpoint, path, s.grid,
+                                    /*batch_records=*/1));
+        EXPECT_EQ(checkpoint.size(), 12u);
         SweepLimits limits;
-        limits.journal = &journal;
+        limits.checkpoint = &checkpoint;
         StrategyOutcome<DesignQor> outcome = s.run(4, limits);
         EXPECT_TRUE(outcome.allCompleted());
         EXPECT_FALSE(outcome.stats.stopped);
@@ -456,26 +470,33 @@ TEST_F(DseFaultTest, InterruptedSweepResumesFromJournalByteExactly)
             EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i]))
                 << "point " << i;
     }
+
+    // Whatever order the racing flushes landed in, the last snapshot on
+    // disk holds every point.
+    {
+        QorStore checkpoint;
+        ASSERT_FALSE(openCheckpoint(checkpoint, path, s.grid));
+        EXPECT_EQ(checkpoint.stats().restored, s.grid.size());
+    }
     std::remove(path.c_str());
 }
 
 TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
 {
-    // The journal contract is order- and timing-agnostic: a sweep
+    // The checkpoint contract is order- and timing-agnostic: a sweep
     // interrupted under {gray, 2 stealing workers} — where *which* 12
-    // points got journaled is timing-dependent — still resumes to the
-    // clean run's exact results, because records key on the grid index
-    // and point fingerprint, never on enumeration position.
+    // points got checkpointed is timing-dependent — still resumes to the
+    // clean run's exact results, because records key on the point
+    // fingerprint (grid hash + index), never on enumeration position.
     LeNetSweep& s = lenet();
-    std::string path = tempJournalPath("gray_steal_resume");
+    std::string path = tempCheckpointPath("gray_steal_resume");
 
     {
-        SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, s.grid.contentHash(),
-                                  sizeof(DesignQor)));
+        QorStore checkpoint;
+        ASSERT_FALSE(openCheckpoint(checkpoint, path, s.grid));
         SweepLimits limits;
         limits.pointBudget = 12;
-        limits.journal = &journal;
+        limits.checkpoint = &checkpoint;
         StrategyOutcome<DesignQor> outcome = s.run(2, limits, PointOrder::kGrayCode);
         EXPECT_TRUE(outcome.stats.stopped);
         // The budget is exact even with workers racing for points.
@@ -483,12 +504,11 @@ TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
         EXPECT_FALSE(outcome.allCompleted());
     }
     {
-        SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, s.grid.contentHash(),
-                                  sizeof(DesignQor)));
-        EXPECT_EQ(journal.size(), 12u);
+        QorStore checkpoint;
+        ASSERT_FALSE(openCheckpoint(checkpoint, path, s.grid));
+        EXPECT_EQ(checkpoint.size(), 12u);
         SweepLimits limits;
-        limits.journal = &journal;
+        limits.checkpoint = &checkpoint;
         StrategyOutcome<DesignQor> outcome = s.run(4, limits, PointOrder::kGrayCode);
         EXPECT_TRUE(outcome.allCompleted());
         EXPECT_FALSE(outcome.stats.stopped);
@@ -503,15 +523,15 @@ TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
 
 TEST_F(DseFaultTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
 {
-    // Two corruptions of a 12-record journal: the last 5 bytes chopped
-    // off (a crash mid-append) drops the last record; one flipped
-    // payload byte in record 3 (bit rot) drops records 3 and up. Either
-    // way the resumed sweep restores the intact prefix and reproduces
-    // the clean run.
+    // Two corruptions of a 12-record checkpoint: the last 5 bytes chopped
+    // off (a torn write) drops the last record; one flipped payload byte
+    // in record 3 (bit rot) drops records 3 and up. Either way the
+    // resumed sweep restores the intact prefix and reproduces the clean
+    // run.
     LeNetSweep& s = lenet();
-    // 24-byte header; each record is (index, fingerprint, payload,
-    // checksum) with 8-byte fields around the payload.
-    const size_t record = 8 + 8 + sizeof(DesignQor) + 8;
+    // 24-byte header; each record is (key, payload, checksum) with
+    // 8-byte fields around the payload.
+    const size_t record = 8 + sizeof(DesignQor) + 8;
     struct Corruption {
         const char* name;
         bool truncate;    ///< Chop the tail, else flip a byte.
@@ -520,14 +540,13 @@ TEST_F(DseFaultTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
     for (const Corruption& c : {Corruption{"truncated_tail", true, 11},
                                 Corruption{"flipped_byte", false, 3}}) {
         SCOPED_TRACE(c.name);
-        std::string path = tempJournalPath(c.name);
+        std::string path = tempCheckpointPath(c.name);
         {
-            SweepJournal journal;
-            ASSERT_FALSE(journal.open(path, s.grid.contentHash(),
-                                      sizeof(DesignQor)));
+            QorStore checkpoint;
+            ASSERT_FALSE(openCheckpoint(checkpoint, path, s.grid));
             SweepLimits limits;
             limits.pointBudget = 12;
-            limits.journal = &journal;
+            limits.checkpoint = &checkpoint;
             s.run(1, limits);
         }
 
@@ -542,7 +561,7 @@ TEST_F(DseFaultTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
         if (c.truncate) {
             bytes.resize(bytes.size() - 5);
         } else {
-            const size_t target = 24 + 3 * record + 16;
+            const size_t target = 24 + 3 * record + 8;
             bytes[target] = static_cast<char>(bytes[target] ^ 0x5a);
         }
         {
@@ -550,16 +569,15 @@ TEST_F(DseFaultTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
             out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
         }
 
-        SweepJournal journal;
-        auto diag =
-            journal.open(path, s.grid.contentHash(), sizeof(DesignQor));
+        QorStore checkpoint;
+        auto diag = openCheckpoint(checkpoint, path, s.grid);
         ASSERT_TRUE(diag.has_value());
-        EXPECT_EQ(diag->code, ErrorCode::kJournalCorrupt);
-        EXPECT_EQ(journal.loadStats().restored, c.restored);
-        EXPECT_EQ(journal.loadStats().droppedCorrupt, 1u);
+        EXPECT_EQ(diag->code, ErrorCode::kStoreCorrupt);
+        EXPECT_EQ(checkpoint.stats().restored, c.restored);
+        EXPECT_EQ(checkpoint.stats().droppedCorrupt, 1u);
 
         SweepLimits limits;
-        limits.journal = &journal;
+        limits.checkpoint = &checkpoint;
         StrategyOutcome<DesignQor> outcome = s.run(2, limits);
         EXPECT_TRUE(outcome.allCompleted());
         EXPECT_EQ(outcome.stats.restored, c.restored);
@@ -571,184 +589,51 @@ TEST_F(DseFaultTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
     }
 }
 
-//===----------------------------------------------------------------------===//
-// Journal mechanics (no sweep needed)
-//===----------------------------------------------------------------------===//
-
-TEST(SweepJournalTest, RoundTripsRecordsAcrossInstances)
+TEST_F(DseFaultTest, ResumeIsNeverAStoreFaultSite)
 {
-    std::string path =
-        ::testing::TempDir() + "hida_journal_roundtrip.jrnl";
-    std::remove(path.c_str());
-    constexpr uint64_t kGrid = 0xfeedULL;
-
-    {
-        SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, kGrid, sizeof(uint64_t)));
-        for (uint64_t i = 0; i < 10; ++i) {
-            uint64_t payload = 1000 + i;
-            journal.record(i, /*fingerprint=*/i * 31, &payload);
+    // Every kStore lookup under an active FaultScope misses at rate 1.0.
+    // The sweep looks its checkpoint up *before* entering the point's
+    // scope, so all 12 checkpointed points still restore, at 1 and at 4
+    // workers, and the resumed results equal the clean run.
+    LeNetSweep& s = lenet();
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        std::string path =
+            tempCheckpointPath(strCat("store_fault_resume_t", threads));
+        {
+            QorStore checkpoint;
+            ASSERT_FALSE(openCheckpoint(checkpoint, path, s.grid));
+            SweepLimits limits;
+            limits.pointBudget = 12;
+            limits.checkpoint = &checkpoint;
+            s.run(1, limits);
         }
-        journal.flush();
-        EXPECT_EQ(journal.size(), 10u);
-    }
-    {
-        SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, kGrid, sizeof(uint64_t)));
-        EXPECT_EQ(journal.loadStats().restored, 10u);
-        uint64_t payload = 0;
-        ASSERT_TRUE(journal.restore(3, 3 * 31, &payload));
-        EXPECT_EQ(payload, 1003u);
-        // Wrong fingerprint: the record is never trusted.
-        EXPECT_FALSE(journal.restore(3, 999, &payload));
-        EXPECT_FALSE(journal.restore(77, 0, &payload));
-    }
-    std::remove(path.c_str());
-}
 
-TEST(SweepJournalTest, BatchingFlushesEveryNRecords)
-{
-    std::string path = ::testing::TempDir() + "hida_journal_batch.jrnl";
-    std::remove(path.c_str());
+        FaultConfig config;
+        config.enabled = true;
+        config.siteMask = faultSiteBit(FaultSite::kStore);
+        config.seed = 7;
+        config.rate = 1.0;
+        setFaultConfig(config);
 
-    SweepJournal writer;
-    ASSERT_FALSE(writer.open(path, 1, sizeof(uint64_t),
-                             /*batch_records=*/4));
-    for (uint64_t i = 0; i < 10; ++i) {
-        uint64_t payload = i;
-        writer.record(i, i, &payload);
-    }
-    // No explicit flush: 8 records (two full batches) must already be
-    // durable; the last partial batch is only in memory.
-    SweepJournal reader;
-    ASSERT_FALSE(reader.open(path, 1, sizeof(uint64_t)));
-    EXPECT_EQ(reader.loadStats().restored, 8u);
-    writer.flush();
-    ASSERT_FALSE(reader.open(path, 1, sizeof(uint64_t)));
-    EXPECT_EQ(reader.loadStats().restored, 10u);
-    std::remove(path.c_str());
-}
+        QorStore checkpoint;
+        ASSERT_FALSE(openCheckpoint(checkpoint, path, s.grid));
+        SweepLimits limits;
+        limits.checkpoint = &checkpoint;
+        StrategyOutcome<DesignQor> outcome = s.run(threads, limits);
+        setFaultConfig(FaultConfig());
 
-TEST(SweepJournalTest, RejectsForeignJournals)
-{
-    std::string path = ::testing::TempDir() + "hida_journal_foreign.jrnl";
-    std::remove(path.c_str());
-
-    {
-        SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, /*grid_hash=*/111,
-                                  sizeof(uint64_t)));
-        uint64_t payload = 5;
-        journal.record(0, 0, &payload);
-        journal.flush();
+        EXPECT_TRUE(outcome.allCompleted());
+        EXPECT_TRUE(outcome.failures.empty());
+        EXPECT_EQ(outcome.stats.restored, 12u);
+        EXPECT_EQ(outcome.stats.evaluated, s.grid.size() - 12u);
+        EXPECT_EQ(checkpoint.stats().hits, 12u);
+        EXPECT_EQ(checkpoint.stats().injectedMisses, 0u);
+        for (size_t i = 0; i < s.grid.size(); ++i)
+            EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i]))
+                << "point " << i;
+        std::remove(path.c_str());
     }
-    // Different grid: mismatch, nothing adopted, journal still usable.
-    {
-        SweepJournal journal;
-        auto diag = journal.open(path, /*grid_hash=*/222, sizeof(uint64_t));
-        ASSERT_TRUE(diag.has_value());
-        EXPECT_EQ(diag->code, ErrorCode::kJournalMismatch);
-        EXPECT_TRUE(journal.loadStats().headerMismatch);
-        EXPECT_EQ(journal.size(), 0u);
-    }
-    // Different payload size: also a mismatch, never a misread.
-    {
-        SweepJournal journal;
-        auto diag = journal.open(path, /*grid_hash=*/111, 16);
-        ASSERT_TRUE(diag.has_value());
-        EXPECT_EQ(diag->code, ErrorCode::kJournalMismatch);
-    }
-    // Not a journal at all.
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << "definitely not a journal";
-    }
-    {
-        SweepJournal journal;
-        auto diag = journal.open(path, 111, sizeof(uint64_t));
-        ASSERT_TRUE(diag.has_value());
-        EXPECT_EQ(diag->code, ErrorCode::kJournalMismatch);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(SweepJournalTest, StaleTmpFromCrashedFlushIsRemovedOnOpen)
-{
-    std::string path = ::testing::TempDir() + "hida_journal_staletmp.jrnl";
-    std::string tmp = path + ".tmp";
-    std::remove(path.c_str());
-    std::remove(tmp.c_str());
-
-    {
-        SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, 5, sizeof(uint64_t)));
-        uint64_t payload = 17;
-        journal.record(0, 0, &payload);
-        journal.flush();
-    }
-    // A crash between the snapshot write and the rename orphans a torn
-    // "<path>.tmp" next to the trusted complete journal.
-    {
-        std::ofstream out(tmp, std::ios::binary);
-        out << "torn partial snapshot";
-    }
-    {
-        SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, 5, sizeof(uint64_t)));
-        // The main file is the trusted one — fully adopted...
-        EXPECT_EQ(journal.loadStats().restored, 1u);
-        uint64_t payload = 0;
-        EXPECT_TRUE(journal.restore(0, 0, &payload));
-        EXPECT_EQ(payload, 17u);
-        // ...and the orphan is gone instead of accumulating forever.
-        std::ifstream probe(tmp, std::ios::binary);
-        EXPECT_FALSE(probe.good()) << "stale .tmp survived open()";
-    }
-    std::remove(path.c_str());
-}
-
-TEST(SweepJournalTest, CorruptedByteInvalidatesOnlyTheTail)
-{
-    std::string path = ::testing::TempDir() + "hida_journal_bitrot.jrnl";
-    std::remove(path.c_str());
-
-    {
-        SweepJournal journal;
-        ASSERT_FALSE(journal.open(path, 9, sizeof(uint64_t)));
-        for (uint64_t i = 0; i < 6; ++i) {
-            uint64_t payload = i * 7;
-            journal.record(i, i, &payload);
-        }
-        journal.flush();
-    }
-    // Flip one payload byte of record 3 (records are written in index
-    // order: 24-byte header + 32 bytes per record, payload at +16).
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-    const size_t target = 24 + 3 * 32 + 16;
-    ASSERT_GT(bytes.size(), target);
-    bytes[target] = static_cast<char>(bytes[target] ^ 0x5a);
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-
-    SweepJournal journal;
-    auto diag = journal.open(path, 9, sizeof(uint64_t));
-    ASSERT_TRUE(diag.has_value());
-    EXPECT_EQ(diag->code, ErrorCode::kJournalCorrupt);
-    // Truncate-to-last-good: records 0-2 survive, 3+ are dropped.
-    EXPECT_EQ(journal.loadStats().restored, 3u);
-    EXPECT_EQ(journal.loadStats().droppedCorrupt, 1u);
-    uint64_t payload = 0;
-    EXPECT_TRUE(journal.restore(2, 2, &payload));
-    EXPECT_EQ(payload, 14u);
-    EXPECT_FALSE(journal.restore(3, 3, &payload));
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -138,6 +138,9 @@ TEST_F(QorStoreTest, RoundTripsRecordsAcrossProcesses)
         EXPECT_EQ(payload, key * 100);
     }
     EXPECT_EQ(store.stats().hits, 5u);
+    // An absent key is a miss, never a stale or neighboring record.
+    uint64_t payload = 0;
+    EXPECT_FALSE(store.lookup(77, &payload));
     std::remove(path.c_str());
 }
 
@@ -201,13 +204,130 @@ TEST_F(QorStoreTest, StaleTmpFromCrashedFlushIsRemovedOnOpen)
     const std::string path = tempPath("hida_store_staletmp.qst");
     const std::string tmp = path + ".tmp";
     {
+        QorStore store;
+        EXPECT_FALSE(store.open(path, 1, sizeof(uint64_t)));
+        const uint64_t payload = 17;
+        store.insert(0, &payload);
+        store.flush();
+    }
+    // A crash between the snapshot write and the rename orphans a torn
+    // "<path>.tmp" next to the trusted complete file.
+    {
         std::ofstream out(tmp, std::ios::binary);
         out << "torn partial snapshot";
     }
     QorStore store;
     EXPECT_FALSE(store.open(path, 1, sizeof(uint64_t)));
+    // The main file is the trusted one — fully adopted...
+    EXPECT_EQ(store.stats().restored, 1u);
+    uint64_t payload = 0;
+    EXPECT_TRUE(store.lookup(0, &payload));
+    EXPECT_EQ(payload, 17u);
+    // ...and the orphan is gone instead of accumulating forever.
     std::ifstream probe(tmp, std::ios::binary);
     EXPECT_FALSE(probe.good()) << "stale .tmp survived open()";
+    std::remove(path.c_str());
+}
+
+TEST_F(QorStoreTest, PayloadSizeMismatchIsForeign)
+{
+    const std::string path = tempPath("hida_store_payload_size.qst");
+    {
+        QorStore store;
+        EXPECT_FALSE(store.open(path, 111, sizeof(uint64_t)));
+        const uint64_t payload = 5;
+        store.insert(0, &payload);
+        store.flush();
+    }
+    // Same tag, different record width: rejected, never misread.
+    QorStore store;
+    std::optional<Diagnostic> diag = store.open(path, 111, 16);
+    ASSERT_TRUE(diag.has_value());
+    EXPECT_EQ(diag->code, ErrorCode::kStoreCorrupt);
+    EXPECT_TRUE(store.stats().headerMismatch);
+    EXPECT_EQ(store.size(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST_F(QorStoreTest, NonStoreFileIsForeign)
+{
+    // Any file that is not a store — garbage, or a sweep journal written
+    // before sweep checkpoints became store files — fails the header
+    // check and is ignored.
+    const std::string path = tempPath("hida_store_garbage.qst");
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << "definitely not a store";
+    }
+    QorStore store;
+    std::optional<Diagnostic> diag = store.open(path, 111, sizeof(uint64_t));
+    ASSERT_TRUE(diag.has_value());
+    EXPECT_EQ(diag->code, ErrorCode::kStoreCorrupt);
+    EXPECT_TRUE(store.stats().headerMismatch);
+    EXPECT_EQ(store.size(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST_F(QorStoreTest, CorruptedMiddleRecordDropsTheTail)
+{
+    const std::string path = tempPath("hida_store_bitrot.qst");
+    {
+        QorStore store;
+        EXPECT_FALSE(store.open(path, 9, sizeof(uint64_t)));
+        for (uint64_t key = 0; key < 6; ++key) {
+            const uint64_t payload = key * 7;
+            store.insert(key, &payload);
+        }
+        store.flush();
+    }
+    // Flip one payload byte of record 3 (records are written in key
+    // order: 24-byte header + 24 bytes per record, payload at +8).
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    const size_t target = 24 + 3 * 24 + 8;
+    ASSERT_GT(bytes.size(), target);
+    bytes[target] = static_cast<char>(bytes[target] ^ 0x5a);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    QorStore store;
+    std::optional<Diagnostic> diag = store.open(path, 9, sizeof(uint64_t));
+    ASSERT_TRUE(diag.has_value());
+    EXPECT_EQ(diag->code, ErrorCode::kStoreCorrupt);
+    // Truncate-to-last-good: records 0-2 survive, 3+ are dropped.
+    EXPECT_EQ(store.stats().restored, 3u);
+    EXPECT_EQ(store.stats().droppedCorrupt, 1u);
+    uint64_t payload = 0;
+    EXPECT_TRUE(store.lookup(2, &payload));
+    EXPECT_EQ(payload, 14u);
+    EXPECT_FALSE(store.lookup(3, &payload));
+    std::remove(path.c_str());
+}
+
+TEST_F(QorStoreTest, MaybeFlushSnapshotsEveryNRecords)
+{
+    const std::string path = tempPath("hida_store_batch.qst");
+    QorStore writer;
+    EXPECT_FALSE(writer.open(path, 1, sizeof(uint64_t),
+                             /*batch_records=*/4));
+    for (uint64_t key = 0; key < 10; ++key) {
+        writer.insert(key, &key);
+        writer.maybeFlush();
+    }
+    // No explicit flush: 8 records (two full batches) must already be
+    // durable; the last partial batch is only in memory.
+    QorStore reader;
+    EXPECT_FALSE(reader.open(path, 1, sizeof(uint64_t)));
+    EXPECT_EQ(reader.stats().restored, 8u);
+    writer.flush();
+    EXPECT_FALSE(reader.open(path, 1, sizeof(uint64_t)));
+    EXPECT_EQ(reader.stats().restored, 10u);
     std::remove(path.c_str());
 }
 
