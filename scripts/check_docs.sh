@@ -6,6 +6,10 @@
 #   2. Every HIDA_* environment variable the compiler (src/), the
 #      benches (bench/) or the scripts (scripts/) read appears in the
 #      README knob table.
+#   3. Every backticked repo path (`src/...`, `tests/...`, `bench/...`,
+#      `scripts/...`, `examples/...`, `perfbench/...`) in README.md and
+#      docs/*.md exists, so the docs cannot name a deleted file.
+#      ROADMAP.md is exempt: it names planned files on purpose.
 #
 # Exit non-zero with one line per problem; print OK otherwise. Callable
 # locally from anywhere inside the repo.
@@ -61,8 +65,37 @@ for var in $vars; do
     fi
 done
 
+# ---- 3. Backticked repo paths ---------------------------------------------
+# The first word of an inline code span that starts with a repo
+# directory, minus any :line suffix. Globs (`examples/*.cpp`) must match
+# something; one {a,b} group (`src/ir/verifier.{h,cc}`) is expanded.
+paths_checked=0
+for doc in "${doc_files[@]}"; do
+    while IFS= read -r span; do
+        path="${span%%[[:space:]]*}"
+        path="${path%%:*}"
+        candidates=("$path")
+        if [[ "$path" =~ ^([^{]*)\{([^}]*)\}(.*)$ ]]; then
+            candidates=()
+            IFS=, read -ra alts <<<"${BASH_REMATCH[2]}"
+            for alt in "${alts[@]}"; do
+                candidates+=("${BASH_REMATCH[1]}$alt${BASH_REMATCH[3]}")
+            done
+        fi
+        for candidate in "${candidates[@]}"; do
+            paths_checked=$((paths_checked + 1))
+            if ! compgen -G "$candidate" >/dev/null; then
+                echo "FAIL: $doc names missing path '$candidate'" >&2
+                status=1
+            fi
+        done
+    done < <(grep -oE '`(src|tests|bench|scripts|examples|perfbench)/[^`]*`' \
+                 "$doc" | sed 's/^`//; s/`$//')
+done
+
 if [[ $status -ne 0 ]]; then
     exit $status
 fi
 echo "OK: all relative doc links resolve; knob table covers" \
-     "$(echo "$vars" | wc -w) HIDA_* env vars"
+     "$(echo "$vars" | wc -w) HIDA_* env vars; $paths_checked backticked" \
+     "repo paths exist"

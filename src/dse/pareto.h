@@ -90,15 +90,6 @@ class ParetoArchive {
  */
 std::vector<ParetoSample> paretoFrontOf(std::vector<ParetoSample> samples);
 
-/**
- * Fraction of @p reference front points that @p found covers (some
- * found-front sample dominates or equals them) — the "recovered >= 95%
- * of the exhaustive front" acceptance metric. An empty reference counts
- * as fully covered (1.0).
- */
-double paretoCoverage(const std::vector<ParetoSample>& reference,
-                      const ParetoArchive& found);
-
 } // namespace hida
 
 #endif // HIDA_DSE_PARETO_H

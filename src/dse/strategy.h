@@ -461,22 +461,9 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
                     // An exception out of evaluate is a per-point
                     // failure, not a dead worker: catch it here so the
                     // worker recovers and keeps evaluating.
-                    Result<R> result = [&]() -> Result<R> {
-                        try {
-                            return worker->evaluate(i, values);
-                        } catch (const std::exception& e) {
-                            return Diagnostic(
-                                ErrorCode::kWorkerFailed,
-                                strCat("exception escaped evaluate: ",
-                                       e.what()),
-                                strCat("point #", i));
-                        } catch (...) {
-                            return Diagnostic(
-                                ErrorCode::kWorkerFailed,
-                                "unknown exception escaped evaluate",
-                                strCat("point #", i));
-                        }
-                    }();
+                    Result<R> result = guardedEvaluate<R>(
+                        i, "evaluate",
+                        [&] { return worker->evaluate(i, values); });
                     if (result.ok()) {
                         out.results[i] = result.value();
                         out.completed[i] = 1;
@@ -508,8 +495,6 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
                     std::lock_guard<std::mutex> lock(merge_mutex);
                     out.stats.cache += stats;
                 }
-                if (worker->retire)
-                    worker->retire();
             };
             return fns;
         });

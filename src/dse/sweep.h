@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -113,7 +114,9 @@ struct SweepLimits {
  * result or a Diagnostic; recover (optional) restores the worker to a
  * known-good state after a failed point — a half-applied point may have
  * corrupted the worker's clone, so the canonical recover deep-clones
- * the prototype again (CloneSweepWorker::rebuild).
+ * the prototype again (CloneSweepWorker::rebuild). The hooks own no
+ * lifetime: a caller that hands workers shared state (the service's
+ * per-key clone pool) reclaims it after runStrategySweep returns.
  */
 template <typename R>
 struct ResilientWorker {
@@ -128,15 +131,30 @@ struct ResilientWorker {
      * StrategySweepStats::cache to prove warm-cache behavior.
      */
     std::function<QorCacheStats()> cacheStats;
-    /**
-     * Optional: called once when runStrategySweep retires the worker
-     * (after cacheStats, still on the worker's thread). The service
-     * (src/service/service.h) uses it to return a warm clone +
-     * estimator to its session pool so the *next* request on the same
-     * prototype starts warm.
-     */
-    std::function<void()> retire;
 };
+
+/**
+ * Run @p evaluate for point @p index, turning an exception that escapes
+ * it into a kWorkerFailed Diagnostic ("exception escaped <what>: ...")
+ * so the caller recovers the worker and keeps going. @p what names the
+ * call site ("evaluate" in the sweep driver, "retry" in the service).
+ */
+template <typename R, typename F>
+Result<R>
+guardedEvaluate(size_t index, const char* what, F&& evaluate)
+{
+    try {
+        return evaluate();
+    } catch (const std::exception& e) {
+        return Diagnostic(ErrorCode::kWorkerFailed,
+                          strCat("exception escaped ", what, ": ", e.what()),
+                          strCat("point #", index));
+    } catch (...) {
+        return Diagnostic(ErrorCode::kWorkerFailed,
+                          strCat("unknown exception escaped ", what),
+                          strCat("point #", index));
+    }
+}
 
 /**
  * The canonical worker-local state of a clone-the-prototype sweep (the

@@ -365,15 +365,6 @@ Operation::dropAllReferences()
                 op->dropAllReferences();
 }
 
-Region*
-Operation::addRegion()
-{
-    regions_.push_back(std::make_unique<Region>(this));
-    invalidateSubtreeHash();
-    bumpStructureEpoch();
-    return regions_.back().get();
-}
-
 //===----------------------------------------------------------------------===//
 // Subtree fingerprint cache
 //===----------------------------------------------------------------------===//

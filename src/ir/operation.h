@@ -314,8 +314,6 @@ class Operation {
     /** @name Regions. @{ */
     unsigned numRegions() const { return regions_.size(); }
     Region& region(unsigned i) const { return *regions_.at(i); }
-    /** Append a fresh empty region (used by the parser). */
-    Region* addRegion();
     /** The single entry block of region 0, creating it if absent. */
     Block* body();
     bool hasBody() const

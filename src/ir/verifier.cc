@@ -1,7 +1,6 @@
 #include "src/ir/verifier.h"
 
 #include "src/ir/operation.h"
-#include "src/ir/printer.h"
 #include "src/ir/registry.h"
 #include "src/support/diagnostics.h"
 #include "src/support/fault_inject.h"
@@ -92,14 +91,6 @@ std::optional<std::string>
 verify(Operation* root)
 {
     return verifyOp(root, nullptr);
-}
-
-void
-verifyOrDie(Operation* root)
-{
-    if (auto error = verify(root)) {
-        HIDA_PANIC("IR verification failed: ", *error, "\n", toString(root));
-    }
 }
 
 std::optional<Diagnostic>

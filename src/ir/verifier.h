@@ -22,9 +22,6 @@ class Operation;
  */
 std::optional<std::string> verify(Operation* root);
 
-/** Verify and panic with the error message on failure (for tests/passes). */
-void verifyOrDie(Operation* root);
-
 /**
  * Recoverable verification: returns a kVerifyFailed Diagnostic instead
  * of aborting, so a sweep can reject a bad prototype (or a bad point)

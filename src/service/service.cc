@@ -42,7 +42,7 @@ serviceModelHash(const ServiceRequest& request)
     return hashCombine(h, request.dataflow ? 1 : 0);
 }
 
-/** Warm-session pool key: the coordinates that select the prototype. */
+/** Session key: the coordinates that select the prototype. */
 std::string
 sessionKey(const ServiceRequest& request)
 {
@@ -175,31 +175,6 @@ ServiceOptions::fromEnv()
     options.schedule = sweepScheduleFromEnv();
     return options;
 }
-
-/** Exclusive lease of a Session for one in-flight request: checked out
- * of the warm pool (or freshly built) on construction, returned on
- * destruction through every exit path of runRequest. */
-class DseService::SessionLease {
-  public:
-    SessionLease(DseService& service, const ServiceRequest& request)
-        : service_(service), key_(sessionKey(request)),
-          session_(service.acquireSession(request))
-    {
-    }
-
-    ~SessionLease() { service_.releaseSession(key_, std::move(session_)); }
-
-    SessionLease(const SessionLease&) = delete;
-    SessionLease& operator=(const SessionLease&) = delete;
-
-    Session& operator*() { return *session_; }
-    Session* operator->() { return session_.get(); }
-
-  private:
-    DseService& service_;
-    std::string key_;
-    std::unique_ptr<Session> session_;
-};
 
 DseService::DseService(ServiceOptions options) : options_(std::move(options))
 {
@@ -535,59 +510,39 @@ DseService::housekeepingMain()
     setDiagnosticThreadTag("");
 }
 
-std::unique_ptr<DseService::Session>
-DseService::acquireSession(const ServiceRequest& request)
+DseService::Session&
+DseService::sessionFor(const ServiceRequest& request)
 {
+    Session* session = nullptr;
     {
         std::lock_guard<std::mutex> lock(sessionsMutex_);
-        auto it = warmSessions_.find(sessionKey(request));
-        if (it != warmSessions_.end() && !it->second.empty()) {
-            std::unique_ptr<Session> session = std::move(it->second.back());
-            it->second.pop_back();
-            return session;
-        }
+        std::unique_ptr<Session>& slot = sessions_[sessionKey(request)];
+        if (!slot)
+            slot = std::make_unique<Session>();
+        session = slot.get();
     }
-    // Pool empty (first request on this key, or every warm instance is
-    // leased by a concurrent request): build a fresh independent
-    // Session *outside* the pool lock, so concurrent builds — even of
-    // the same model — proceed in parallel and never share IR.
-    return buildSession(request);
-}
-
-void
-DseService::releaseSession(const std::string& key,
-                           std::unique_ptr<Session> session)
-{
-    std::lock_guard<std::mutex> lock(sessionsMutex_);
-    std::vector<std::unique_ptr<Session>>& pool = warmSessions_[key];
-    // At most one warm instance per executor lane can ever be useful.
-    if (pool.size() < options_.concurrency)
-        pool.push_back(std::move(session));
-}
-
-std::unique_ptr<DseService::Session>
-DseService::buildSession(const ServiceRequest& request)
-{
-    // The expensive artifact: build + lower the prototype once; every
-    // later request leasing this instance reuses it (and the warm
-    // clones its sweeps leave in `idle`).
-    auto session = std::make_unique<Session>();
-    session->batch = request.batch;
-    session->modelHash = serviceModelHash(request);
-    OwnedModule module = request.model == "lenet"
-                             ? buildLeNet(request.batch)
-                             : buildDnnModel(request.model);
-    FlowOptions options =
-        optionsFor(request.dataflow ? Flow::kHida : Flow::kVitis);
-    options.enableTiling = false;
-    options.enableParallelization = false;
-    compile(module.get(), options, options_.device);
-    if (auto diag = verifySweepPrototype(module.get()))
-        session->buildDiag = *diag;  // served as kFailed, never an abort
-    session->prototype = std::move(module);
-    session->partitionOptions = options;
-    session->partitionOptions.enableParallelization = true;
-    return session;
+    // The expensive artifact: build + lower the prototype once per key,
+    // outside the map lock so other keys build in parallel. The verdict
+    // is cached with it: verifySweepPrototype always rolls under
+    // kFaultSetupKey, so a rebuild could only repeat it.
+    std::call_once(session->built, [&] {
+        session->batch = request.batch;
+        session->modelHash = serviceModelHash(request);
+        OwnedModule module = request.model == "lenet"
+                                 ? buildLeNet(request.batch)
+                                 : buildDnnModel(request.model);
+        FlowOptions options =
+            optionsFor(request.dataflow ? Flow::kHida : Flow::kVitis);
+        options.enableTiling = false;
+        options.enableParallelization = false;
+        compile(module.get(), options, options_.device);
+        // A rejected prototype is served as kFailed, never an abort.
+        session->buildDiag = verifySweepPrototype(module.get());
+        session->prototype = std::move(module);
+        session->partitionOptions = options;
+        session->partitionOptions.enableParallelization = true;
+    });
+    return *session;
 }
 
 std::shared_ptr<CloneSweepWorker>
@@ -748,10 +703,10 @@ DseService::runRequest(Pending pending)
         }
     }
 
-    SessionLease session(*this, pending.request);
-    if (session->buildDiag) {
+    Session& session = sessionFor(pending.request);
+    if (session.buildDiag) {
         response.status = RequestStatus::kFailed;
-        response.diag = *session->buildDiag;
+        response.diag = *session.buildDiag;
         respond(std::move(response));
         return;
     }
@@ -763,20 +718,27 @@ DseService::runRequest(Pending pending)
         limits.deadlineSeconds = remaining;
 
     const QorStore::Stats store_before = store_.stats();
+    // The clones this request's sweep workers claimed (factories run on
+    // the pool's threads), handed back to the key's pool below.
+    std::mutex claimed_mutex;
+    std::vector<std::shared_ptr<CloneSweepWorker>> claimed;
     std::function<ResilientWorker<ServicePoint>()> factory =
-        [this, &session, &grid]() {
-            std::shared_ptr<CloneSweepWorker> w = claimWorker(*session);
+        [this, &session, &grid, &claimed_mutex, &claimed]() {
+            std::shared_ptr<CloneSweepWorker> w = claimWorker(session);
+            {
+                std::lock_guard<std::mutex> lock(claimed_mutex);
+                claimed.push_back(w);
+            }
             ResilientWorker<ServicePoint> worker;
             worker.evaluate =
                 [this, &session, &grid, w](
                     size_t index,
                     const std::vector<int64_t>& values)
                 -> Result<ServicePoint> {
-                return evaluatePoint(*session, *w, grid, index, values);
+                return evaluatePoint(session, *w, grid, index, values);
             };
             worker.recover = [w]() { w->rebuild(); };
             worker.cacheStats = [w]() { return w->estimator.cacheStats(); };
-            worker.retire = [&session, w]() { releaseWorker(*session, w); };
             return worker;
         };
 
@@ -789,6 +751,13 @@ DseService::runRequest(Pending pending)
                 return ParetoSample{index, point.util, point.throughput};
             },
             options_.sweepThreads, limits);
+    // The sweep has joined its workers, so the clones are idle again. A
+    // worker killed by an escaped exception never ran its recover hook
+    // and may have left its clone half-applied; rather than tell which,
+    // such a sweep returns none of its clones.
+    if (outcome.stats.workerFailures.empty())
+        for (std::shared_ptr<CloneSweepWorker>& w : claimed)
+            releaseWorker(session, std::move(w));
 
     response.results = std::move(outcome.results);
     response.completed = std::move(outcome.completed);
@@ -829,28 +798,16 @@ DseService::runRequest(Pending pending)
                     continue;
                 }
                 if (!retry_worker)
-                    retry_worker = claimWorker(*session);
+                    retry_worker = claimWorker(session);
                 grid.decode(failure.index, values);
                 FaultScope scope(
                     hashCombine(hashMix(failure.index), attempt));
                 ++response.pointRetries;
                 Result<ServicePoint> result =
-                    [&]() -> Result<ServicePoint> {
-                    try {
-                        return evaluatePoint(*session, *retry_worker, grid,
+                    guardedEvaluate<ServicePoint>(failure.index, "retry", [&] {
+                        return evaluatePoint(session, *retry_worker, grid,
                                              failure.index, values);
-                    } catch (const std::exception& e) {
-                        return Diagnostic(
-                            ErrorCode::kWorkerFailed,
-                            strCat("exception escaped retry: ", e.what()),
-                            strCat("point #", failure.index));
-                    } catch (...) {
-                        return Diagnostic(
-                            ErrorCode::kWorkerFailed,
-                            "unknown exception escaped retry",
-                            strCat("point #", failure.index));
-                    }
-                }();
+                    });
                 if (result.ok()) {
                     response.results[failure.index] = result.value();
                     response.completed[failure.index] = 1;
@@ -864,7 +821,7 @@ DseService::runRequest(Pending pending)
             response.failures = std::move(still);
         }
         if (retry_worker)
-            releaseWorker(*session, std::move(retry_worker));
+            releaseWorker(session, std::move(retry_worker));
     }
 
     response.storeHits = store_.stats().hits - store_before.hits;

@@ -5,9 +5,9 @@
  * @file
  * Long-lived, multi-tenant DSE service core (docs/service.md): a
  * fair-queued scheduler in front of the resilient sweep engine, built
- * so the expensive artifacts — lowered prototypes, warm per-session
- * QorEstimator clones, and the persistent fingerprint-keyed QoR store —
- * outlive any single request or process.
+ * so the expensive artifacts — one lowered prototype per session key,
+ * that key's warm QorEstimator clones, and the persistent
+ * fingerprint-keyed QoR store — outlive any single request or process.
  *
  * Robustness contract (the whole point — pinned by
  * tests/service_test.cc):
@@ -43,19 +43,20 @@
  * ServiceOptions::concurrency executor threads each run one request at
  * a time end to end, drawn from per-tenant FIFOs under deficit-weighted
  * fair queuing (src/service/fair_queue.h) so one chatty tenant cannot
- * starve the rest. Each in-flight request exclusively leases a Session
- * — prototype plus warm clone pool — from a per-model warm-session
- * pool; two concurrent requests on the same model get *independent*
- * Session instances, so no IR is ever shared across requests. Within a
- * request, the sweep runs through a StrategyWorkerPool of
- * ServiceOptions::sweepThreads workers claiming clones from the leased
- * session only (pool join happens-before the lease is returned, so
- * estimator caches stay warm without cross-request sharing). A
- * housekeeping thread promotes elapsed backoff requeues and batches
- * QoR-store snapshots to disk off the request threads. Results are
- * bit-identical at any concurrency x sweepThreads combination: every
- * retry/fault/backoff decision keys on (point or request, attempt),
- * never on timing or executor placement.
+ * starve the rest. Each session key (model, batch, flow) has one
+ * Session: a prototype lowered and verified once, on the first request,
+ * and only read after that, plus the key's pool of idle clones. Within
+ * a request, the sweep runs through a StrategyWorkerPool of
+ * ServiceOptions::sweepThreads workers, each claiming a private clone
+ * from the key's pool (or cloning the prototype when it is empty); the
+ * request hands its clones back once the sweep has joined its workers,
+ * so the next request on the key starts with warm estimator caches.
+ * Two requests never touch the same clone, and concurrent clones of
+ * one read-only prototype are safe. A housekeeping thread promotes
+ * elapsed backoff requeues and batches QoR-store snapshots to disk off
+ * the request threads. Results are bit-identical at any concurrency x
+ * sweepThreads combination: every retry/fault/backoff decision keys on
+ * (point or request, attempt), never on timing or executor placement.
  */
 
 #include <chrono>
@@ -259,13 +260,14 @@ class DseService {
     CancelToken& cancelToken() { return cancel_; }
 
   private:
-    /** Warm per-session state: one lowered prototype plus the idle
-     * clone pool the leasing request's workers claim from. A Session is
-     * leased *exclusively* by one in-flight request at a time (the
-     * warm-session pool hands concurrent same-model requests
-     * independent instances), so only `idle` needs its mutex — it is
-     * claimed/returned by that request's pool workers. */
+    /** One entry per session key, kept for the life of the service.
+     * Everything but `idle` is written once, under `built` by the first
+     * request on the key, and only read after that (a rejected
+     * prototype's buildDiag is cached too). `idle` holds the key's warm
+     * clones; the sweep workers of every request on the key claim from
+     * it under `mutex`. */
     struct Session {
+        std::once_flag built;
         OwnedModule prototype;
         FlowOptions partitionOptions;
         int64_t batch = 1;
@@ -290,17 +292,12 @@ class DseService {
         std::chrono::steady_clock::time_point notBefore;
     };
 
-    /** Exclusive lease of a warm (or freshly built) Session; returns
-     * it to the pool on destruction. */
-    class SessionLease;
-
     void executorMain(unsigned lane);
     void housekeepingMain();
     void runRequest(Pending pending);
-    std::unique_ptr<Session> acquireSession(const ServiceRequest& request);
-    void releaseSession(const std::string& key,
-                        std::unique_ptr<Session> session);
-    std::unique_ptr<Session> buildSession(const ServiceRequest& request);
+    /** @p request's Session, built on first use: concurrent requests on
+     * one key wait for that build instead of lowering a copy. */
+    Session& sessionFor(const ServiceRequest& request);
     std::shared_ptr<CloneSweepWorker> claimWorker(Session& session);
     static void releaseWorker(Session& session,
                               std::shared_ptr<CloneSweepWorker> worker);
@@ -341,12 +338,9 @@ class DseService {
     bool shuttingDown_ = false;
     bool stop_ = false;
 
-    /** Warm-session pool: idle Session instances per session key, each
-     * leased exclusively by one request at a time. */
+    /** One Session per session key; entries are never erased. */
     std::mutex sessionsMutex_;
-    std::unordered_map<std::string,
-                       std::vector<std::unique_ptr<Session>>>
-        warmSessions_;
+    std::unordered_map<std::string, std::unique_ptr<Session>> sessions_;
 
     std::vector<std::thread> executors_;
     std::thread housekeeper_;

@@ -113,14 +113,6 @@ setFaultConfig(const FaultConfig& config)
                     std::memory_order_release);
 }
 
-FaultConfig
-faultConfig()
-{
-    std::call_once(g_env_once, loadEnvConfig);
-    std::lock_guard<std::mutex> lock(g_config_mutex);
-    return g_config;
-}
-
 FaultScope::FaultScope(uint64_t key)
     : prevKey_(t_fault_key), prevActive_(t_fault_active)
 {

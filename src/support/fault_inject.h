@@ -65,9 +65,6 @@ std::optional<FaultConfig> parseFaultConfig(const std::string& spec);
  * reads, but configure before spawning sweep workers for sane runs. */
 void setFaultConfig(const FaultConfig& config);
 
-/** Current config: HIDA_FAULT_INJECT on first use unless overridden. */
-FaultConfig faultConfig();
-
 /**
  * Installs this thread's fault key (the sweep point index) for the
  * dynamic extent of one point evaluation. Sites fire only under an

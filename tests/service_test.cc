@@ -961,6 +961,54 @@ TEST_F(ServiceTest, TotalityHoldsUnderMixedFaultTraffic)
     EXPECT_EQ(stats.answered, ids.size());
 }
 
+TEST_F(ServiceTest, RejectedPrototypeFailsEveryRequestOnItsKey)
+{
+    // One prototype per session key: the first request on the key builds
+    // and verifies it, concurrent requests on the key wait for that
+    // build, and every one of them is answered with its cached verdict.
+    ServiceOptions options;
+    options.concurrency = 4;
+    options.sweepThreads = 2;
+    DseService service(options);
+    setFaultConfig(faultsAt(FaultSite::kVerifier, 42, 1.0));
+
+    constexpr size_t kClients = 8;
+    std::vector<ServiceResponse> responses(kClients);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c)
+        clients.emplace_back([&service, &responses, c] {
+            responses[c] = service.wait(service.submit(smallRequest()));
+        });
+    for (std::thread& client : clients)
+        client.join();
+
+    const Diagnostic& verdict = responses.front().diag;
+    EXPECT_EQ(verdict.code, ErrorCode::kFaultInjected);
+    for (const ServiceResponse& response : responses) {
+        EXPECT_EQ(response.status, RequestStatus::kFailed)
+            << requestStatusName(response.status);
+        EXPECT_EQ(response.diag.code, verdict.code);
+        EXPECT_EQ(response.diag.opPath, verdict.opPath);
+        EXPECT_EQ(response.diag.message, verdict.message);
+        EXPECT_TRUE(response.results.empty());
+    }
+    ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.submitted, kClients);
+    EXPECT_EQ(stats.answered, stats.submitted);
+    EXPECT_EQ(stats.failed, kClients);
+
+    // The rejection is cached per key: with injection off, the same key
+    // still fails with the same verdict instead of rebuilding.
+    setFaultConfig(FaultConfig());
+    ServiceResponse again = service.wait(service.submit(smallRequest()));
+    EXPECT_EQ(again.status, RequestStatus::kFailed);
+    EXPECT_EQ(again.diag.code, verdict.code);
+    EXPECT_EQ(again.diag.message, verdict.message);
+    stats = service.stats();
+    EXPECT_EQ(stats.failed, kClients + 1);
+    EXPECT_EQ(stats.answered, stats.submitted);
+}
+
 TEST_F(ServiceTest, FromEnvReadsTheDocumentedKnobs)
 {
     setenv("HIDA_SERVICE_CONCURRENCY", "3", 1);
