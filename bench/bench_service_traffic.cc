@@ -305,10 +305,9 @@ main()
                 "%zu rejected, %zu failed (%zu degraded)\n",
                 completed, partial, shed, rejected, failed, degraded);
     std::printf("  points: %zu evaluated, %zu store hits "
-                "(hit rate %.1f%%), retries %zu point / %zu request, "
-                "%zu requeues\n",
+                "(hit rate %.1f%%), retries %zu point / %zu request\n",
                 points_evaluated, store_hits, hit_rate * 100.0,
-                stats.pointRetries, stats.requestRetries, stats.requeues);
+                stats.pointRetries, stats.requestRetries);
     std::printf("  response digest: %016" PRIx64 "\n", response_digest);
 
     if (const char* stats_path = std::getenv("HIDA_SERVICE_STATS")) {
@@ -341,7 +340,6 @@ main()
                 "  \"degraded\": %zu,\n"
                 "  \"point_retries\": %zu,\n"
                 "  \"request_retries\": %zu,\n"
-                "  \"requeues\": %zu,\n"
                 "  \"max_in_flight\": %zu,\n"
                 "  \"service_submitted\": %zu,\n"
                 "  \"service_answered\": %zu,\n"
@@ -353,9 +351,8 @@ main()
                 percentile(exec_times, 0.5), percentile(exec_times, 0.99),
                 shed_rate, hit_rate, store.hits, store.misses, completed,
                 partial, shed, rejected, failed, degraded,
-                stats.pointRetries, stats.requestRetries, stats.requeues,
-                stats.maxInFlight, stats.submitted, stats.answered,
-                response_digest,
+                stats.pointRetries, stats.requestRetries, stats.maxInFlight,
+                stats.submitted, stats.answered, response_digest,
                 shutdownSignal() != 0 ? "true" : "false");
             std::fclose(f);
         }

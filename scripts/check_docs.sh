@@ -10,6 +10,9 @@
 #      `scripts/...`, `examples/...`, `perfbench/...`) in README.md and
 #      docs/*.md exists, so the docs cannot name a deleted file.
 #      ROADMAP.md is exempt: it names planned files on purpose.
+#   4. Every backticked HIDA_* name in the README knob table is read
+#      somewhere in src/, bench/, scripts/ or tests/, so a deleted knob
+#      cannot leave a stale row behind.
 #
 # Exit non-zero with one line per problem; print OK otherwise. Callable
 # locally from anywhere inside the repo.
@@ -48,14 +51,18 @@ done
 # envDouble() in C++, ${HIDA_*} expansion in shell — must have a row
 # (backtick-quoted) in the README knob table. HIDA_ASSERT/PANIC/FATAL
 # are macros, not knobs; *_H are include guards.
-vars=$(
+# Prints the HIDA_* names read from the environment in the given dirs.
+env_reads() {
     {
         grep -rhoE '(getenv|envUint|envDouble)\("HIDA_[A-Z_0-9]+"' \
-            src/ bench/ 2>/dev/null | grep -oE 'HIDA_[A-Z_0-9]+'
-        grep -rhoE '\$\{HIDA_[A-Z_0-9]+' scripts/*.sh 2>/dev/null |
-            grep -oE 'HIDA_[A-Z_0-9]+'
-    } | sort -u
-)
+            "$@" 2>/dev/null || true
+        grep -rhoE '\$\{HIDA_[A-Z_0-9]+' "$@" 2>/dev/null || true
+        # CMake reads ($ENV{..}, if(DEFINED ENV{..})); set(ENV{..}) writes.
+        grep -rhoE '(\$|DEFINED )ENV\{HIDA_[A-Z_0-9]+\}' "$@" \
+            2>/dev/null || true
+    } | grep -oE 'HIDA_[A-Z_0-9]+' | sort -u
+}
+vars=$(env_reads src/ bench/ scripts/)
 
 for var in $vars; do
     if ! grep -q "\`$var\`" README.md; then
@@ -93,9 +100,24 @@ for doc in "${doc_files[@]}"; do
                  "$doc" | sed 's/^`//; s/`$//')
 done
 
+# ---- 4. No stale knob rows ------------------------------------------------
+# The knob table's rows start with a backticked HIDA_* name; every
+# backticked HIDA_* name in those rows must still be read somewhere.
+read_vars=" $(env_reads src/ bench/ scripts/ tests/ | tr '\n' ' ') "
+row_vars=$(grep -E '^\| `HIDA_' README.md |
+               grep -oE '`HIDA_[A-Z_0-9]+`' | tr -d '`' | sort -u)
+for var in $row_vars; do
+    if [[ "$read_vars" != *" $var "* ]]; then
+        echo "FAIL: README knob table names $var, but nothing in src/," \
+             "bench/, scripts/ or tests/ reads it" >&2
+        status=1
+    fi
+done
+
 if [[ $status -ne 0 ]]; then
     exit $status
 fi
 echo "OK: all relative doc links resolve; knob table covers" \
-     "$(echo "$vars" | wc -w) HIDA_* env vars; $paths_checked backticked" \
-     "repo paths exist"
+     "$(echo "$vars" | wc -w) HIDA_* env vars; its" \
+     "$(echo "$row_vars" | wc -w) names are all read; $paths_checked" \
+     "backticked repo paths exist"

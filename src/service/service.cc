@@ -71,12 +71,12 @@ transientPointFailure(ErrorCode code)
            code == ErrorCode::kWorkerFailed;
 }
 
+using Seconds = std::chrono::duration<double>;
+
 double
 secondsSince(std::chrono::steady_clock::time_point start)
 {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
+    return Seconds(std::chrono::steady_clock::now() - start).count();
 }
 
 /** Exponential backoff before retry @p attempt (1-based): base *
@@ -86,19 +86,6 @@ backoffMs(double base_ms, size_t attempt)
 {
     const unsigned shift = attempt > 16 ? 16 : static_cast<unsigned>(attempt);
     return base_ms * static_cast<double>(1u << (shift - 1));
-}
-
-/** Point-level backoff: sleeps only the executor lane that owns the
- * retrying request, never a scheduler thread. A zero base keeps tests
- * instant. (Request-level backoff is a timed requeue instead — see
- * runRequest.) */
-void
-backoffSleep(double base_ms, size_t attempt)
-{
-    if (base_ms <= 0.0)
-        return;
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        backoffMs(base_ms, attempt)));
 }
 
 /** Parse HIDA_SERVICE_TENANT_WEIGHTS ("name=w,name=w"). Malformed
@@ -240,20 +227,19 @@ DseService::submit(ServiceRequest request)
                             ErrorCode::kInvalidRequest,
                             "negative deadline");
 
-    // Admission control on *fresh* (never-started) requests: shed at
+    // Admission control on queued (not yet started) requests: shed at
     // the hard depth bound; optionally degrade (sampled strategy, 1/8
     // budget) from the soft bound up, so an overload burst answers
-    // fast-and-cheap instead of rejecting. Backoff requeues are already
-    // admitted work and never count against the bound.
-    if (options_.maxQueueDepth > 0 && freshQueued_ >= options_.maxQueueDepth)
+    // fast-and-cheap instead of rejecting.
+    if (options_.maxQueueDepth > 0 && queue_.size() >= options_.maxQueueDepth)
         return answerLocked(
             RequestStatus::kShed, ErrorCode::kOverloaded,
-            strCat("queue depth ", freshQueued_, " at bound ",
+            strCat("queue depth ", queue_.size(), " at bound ",
                    options_.maxQueueDepth, "; request shed"));
     Pending pending;
     pending.id = id;
     if (options_.degradeQueueDepth > 0 &&
-        freshQueued_ >= options_.degradeQueueDepth) {
+        queue_.size() >= options_.degradeQueueDepth) {
         const size_t budget =
             request.strategy.budget != 0
                 ? request.strategy.budget
@@ -266,7 +252,6 @@ DseService::submit(ServiceRequest request)
     pending.enqueued = std::chrono::steady_clock::now();
     const std::string tenant = pending.request.tenant;
     queue_.push(tenant, std::move(pending));
-    ++freshQueued_;
     queueCv_.notify_one();
     return id;
 }
@@ -291,10 +276,9 @@ DseService::beginShutdown()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         shuttingDown_ = true;
-        drainFreshLocked();
+        drainQueuedLocked();
     }
     queueCv_.notify_all();
-    houseCv_.notify_all();
 }
 
 void
@@ -326,14 +310,26 @@ size_t
 DseService::queueDepth() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return freshQueued_;
+    return queue_.size();
 }
 
-uint64_t
-DseService::tenantWeight(const std::string& tenant) const
+void
+DseService::backoffWait(size_t attempt, Deadline deadline) const
 {
-    auto it = options_.tenantWeights.find(tenant);
-    return it == options_.tenantWeights.end() ? 1 : it->second;
+    if (options_.retryBackoffMs <= 0.0)
+        return;
+    // Slices, not one sleep: a signal handler cannot wake a sleeper, so
+    // shutdown is noticed through the chained token on the next slice.
+    constexpr Seconds kSlice(0.05);
+    const Seconds wait(backoffMs(options_.retryBackoffMs, attempt) / 1e3);
+    const Deadline until =
+        std::min(deadline, Deadline(std::chrono::steady_clock::now()) + wait);
+    while (!cancel_.cancelled()) {
+        const Deadline tick = std::chrono::steady_clock::now();
+        if (tick >= until)
+            return;
+        std::this_thread::sleep_for(std::min(until - tick, kSlice));
+    }
 }
 
 void
@@ -379,62 +375,20 @@ DseService::respondLocked(ServiceResponse response)
 }
 
 void
-DseService::drainFreshLocked()
+DseService::drainQueuedLocked()
 {
-    // Only never-started requests are answered with kShutdown; backoff
-    // requeues stay — they already ran, so the executors finish their
-    // remaining retry schedule inline (pickRequeuedLocked).
-    queue_.drainIf(
-        [](const Pending& pending) { return pending.requestAttempt == 0; },
-        [&](Pending pending) {
-            --freshQueued_;
-            ServiceResponse response;
-            response.id = pending.id;
-            response.degraded = pending.degraded;
-            response.status = RequestStatus::kRejected;
-            response.diag = Diagnostic(
-                ErrorCode::kShutdown,
-                "service shutting down; request not run", "service");
-            response.queueSeconds = secondsSince(pending.enqueued);
-            respondLocked(std::move(response));
-        });
-}
-
-bool
-DseService::pickRequeuedLocked(Pending* out)
-{
-    // Shutdown path: whatever drainFreshLocked left in the fair queue
-    // is a promoted requeue; the delayed list is taken eagerly,
-    // ignoring notBefore — skipped backoff shapes timing, never any
-    // retry decision.
-    if (queue_.pop(out))
-        return true;
-    if (delayed_.empty())
-        return false;
-    *out = std::move(delayed_.back());
-    delayed_.pop_back();
-    return true;
-}
-
-bool
-DseService::promoteDueLocked(std::chrono::steady_clock::time_point now)
-{
-    bool any = false;
-    for (size_t i = 0; i < delayed_.size();) {
-        if (delayed_[i].notBefore > now) {
-            ++i;
-            continue;
-        }
-        Pending pending = std::move(delayed_[i]);
-        delayed_[i] = std::move(delayed_.back());
-        delayed_.pop_back();
-        const std::string tenant = pending.request.tenant;
-        // Front, not back: the requeue was admitted before anything now
-        // queued behind it.
-        queue_.pushFront(tenant, std::move(pending));
-        any = true;
+    Pending pending;
+    while (queue_.pop(&pending)) {
+        ServiceResponse response;
+        response.id = pending.id;
+        response.degraded = pending.degraded;
+        response.status = RequestStatus::kRejected;
+        response.diag = Diagnostic(ErrorCode::kShutdown,
+                                   "service shutting down; request not run",
+                                   "service");
+        response.queueSeconds = secondsSince(pending.enqueued);
+        respondLocked(std::move(response));
     }
-    return any;
 }
 
 void
@@ -443,7 +397,6 @@ DseService::executorMain(unsigned lane)
     setDiagnosticThreadTag(strCat("svc", lane));
     for (;;) {
         Pending pending;
-        bool have = false;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             // wait_for, not wait: a signal handler cannot notify a
@@ -455,23 +408,14 @@ DseService::executorMain(unsigned lane)
             if (cancel_.cancelled())
                 shuttingDown_ = true;
             if (shuttingDown_ || stop_) {
-                drainFreshLocked();
-                if (!pickRequeuedLocked(&pending))
-                    break;
-                have = true;
-            } else if (queue_.pop(&pending)) {
-                have = true;
-                if (pending.requestAttempt == 0)
-                    --freshQueued_;
+                drainQueuedLocked();
+                break;
             }
-            if (have) {
-                ++inFlight_;
-                stats_.maxInFlight =
-                    std::max(stats_.maxInFlight, inFlight_);
-            }
+            if (!queue_.pop(&pending))
+                continue;
+            ++inFlight_;
+            stats_.maxInFlight = std::max(stats_.maxInFlight, inFlight_);
         }
-        if (!have)
-            continue;
         runRequest(std::move(pending));
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -487,17 +431,10 @@ DseService::housekeepingMain()
     setDiagnosticThreadTag("svchk");
     std::unique_lock<std::mutex> lock(mutex_);
     while (!stop_) {
-        // Wake at the earliest pending backoff deadline, or on the
-        // 50ms store-flush tick.
-        auto wake =
-            std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-        for (const Pending& pending : delayed_)
-            wake = std::min(wake, pending.notBefore);
-        houseCv_.wait_until(lock, wake, [&] { return stop_; });
+        houseCv_.wait_for(lock, std::chrono::milliseconds(50),
+                          [&] { return stop_; });
         if (stop_)
             break;
-        if (promoteDueLocked(std::chrono::steady_clock::now()))
-            queueCv_.notify_all();
         if (store_.needsFlush()) {
             // Snapshot I/O outside the scheduler lock: submits and
             // executors proceed while records hit disk.
@@ -604,57 +541,53 @@ DseService::runRequest(Pending pending)
     ServiceResponse response;
     response.id = pending.id;
     response.degraded = pending.degraded;
-    // Queue wait is measured once, at first dispatch; a backoff requeue
-    // keeps the original figure (its delay is run time the request
-    // earned itself, not scheduler backlog).
-    if (pending.queueSeconds < 0.0)
-        pending.queueSeconds = secondsSince(pending.enqueued);
-    response.queueSeconds = pending.queueSeconds;
-    response.requestRetries = pending.requestRetries;
+    response.queueSeconds = secondsSince(pending.enqueued);
 
-    // Age-based shedding at first dispatch: a request that already
-    // waited past the bound would only add to the backlog it suffered
-    // from. Requeues are exempt — they were admitted in time.
-    if (pending.requestAttempt == 0 && options_.maxQueueAgeSeconds > 0.0 &&
-        pending.queueSeconds > options_.maxQueueAgeSeconds) {
+    // Age-based shedding at dispatch: a request that already waited
+    // past the bound would only add to the backlog it suffered from.
+    if (options_.maxQueueAgeSeconds > 0.0 &&
+        response.queueSeconds > options_.maxQueueAgeSeconds) {
         response.status = RequestStatus::kShed;
         response.diag = Diagnostic(
             ErrorCode::kOverloaded,
-            strCat("request waited ", pending.queueSeconds, "s (bound ",
+            strCat("request waited ", response.queueSeconds, "s (bound ",
                    options_.maxQueueAgeSeconds, "s); request shed"),
             "service");
         respond(std::move(response));
         return;
     }
 
+    // Queue wait and retry backoff count against the tenant's deadline.
     const bool has_deadline = pending.request.deadlineSeconds > 0.0;
+    Deadline deadline = Deadline::max();
+    if (has_deadline)
+        deadline = Deadline(pending.enqueued) +
+                   Seconds(pending.request.deadlineSeconds);
     double remaining = 0.0;
-    if (has_deadline) {
-        // Queue wait — and any backoff delay a requeue spent — counts
-        // against the tenant's deadline: a request that waited it out
-        // is answered now, not after a futile sweep.
-        remaining = pending.request.deadlineSeconds -
-                    secondsSince(pending.enqueued);
-        if (remaining <= 0.0) {
-            response.status = RequestStatus::kPartial;
-            response.diag =
-                Diagnostic(ErrorCode::kDeadlineExceeded,
-                           "deadline exhausted while queued", "service");
-            respond(std::move(response));
-            return;
-        }
-    }
 
     // Request-level fault site, with the same bounded deterministic
     // retry discipline as failed points: attempt k re-rolls under key
     // hash(faultKey, k), so the schedule is identical at any
-    // concurrency. Backoff between attempts is a *timed requeue*: this
-    // executor lane moves on to other requests and the housekeeper
-    // re-admits the request at its tenant's queue front once the delay
-    // elapses — one backing-off request never stalls the pipeline.
+    // concurrency. Every attempt starts with the deadline check: a
+    // request that waited its deadline out — queued, or backing off on
+    // this lane — is answered now, not after a futile sweep.
     const uint64_t fault_key =
         pending.request.faultKey != 0 ? pending.request.faultKey : pending.id;
-    for (size_t attempt = pending.requestAttempt;; ++attempt) {
+    for (size_t attempt = 0;; ++attempt) {
+        if (has_deadline) {
+            remaining = pending.request.deadlineSeconds -
+                        secondsSince(pending.enqueued);
+            if (remaining <= 0.0) {
+                response.status = RequestStatus::kPartial;
+                response.diag = Diagnostic(
+                    ErrorCode::kDeadlineExceeded,
+                    attempt == 0 ? "deadline exhausted while queued"
+                                 : "deadline exhausted during retry backoff",
+                    "service");
+                respond(std::move(response));
+                return;
+            }
+        }
         FaultScope scope(attempt == 0
                              ? fault_key
                              : hashCombine(hashMix(fault_key), attempt));
@@ -669,38 +602,9 @@ DseService::runRequest(Pending pending)
             return;
         }
         ++response.requestRetries;
-        if (options_.retryBackoffMs > 0.0) {
-            bool requeued = false;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                // Under shutdown the remaining schedule runs inline
-                // with no delay instead (decisions never depend on it).
-                if (!shuttingDown_ && !stop_) {
-                    Pending again;
-                    again.id = pending.id;
-                    again.request = std::move(pending.request);
-                    again.degraded = pending.degraded;
-                    again.enqueued = pending.enqueued;
-                    again.requestAttempt = attempt + 1;
-                    again.requestRetries = response.requestRetries;
-                    again.queueSeconds = pending.queueSeconds;
-                    again.notBefore =
-                        std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double, std::milli>(
-                                backoffMs(options_.retryBackoffMs,
-                                          attempt + 1)));
-                    delayed_.push_back(std::move(again));
-                    ++stats_.requeues;
-                    requeued = true;
-                }
-            }
-            if (requeued) {
-                houseCv_.notify_one();
-                return;  // no terminal response yet: the requeue owns it
-            }
-        }
+        // Under shutdown this returns at once, so the remaining schedule
+        // runs without the waits (decisions never depend on them).
+        backoffWait(attempt + 1, deadline);
     }
 
     Session& session = sessionFor(pending.request);
@@ -785,11 +689,15 @@ DseService::runRequest(Pending pending)
             for (const PointFailure& failure : response.failures)
                 if (transientPointFailure(failure.diag.code))
                     any_transient = true;
-            if (!any_transient || cancel_.cancelled())
+            if (!any_transient)
                 break;
-            if (has_deadline && secondsSince(start) >= remaining)
+            // Checked after the wait: a backoff cut short by shutdown or
+            // the deadline (or one that started past them, which returns
+            // at once) is never followed by a retry.
+            backoffWait(attempt, deadline);
+            if (cancel_.cancelled() ||
+                Deadline(std::chrono::steady_clock::now()) >= deadline)
                 break;
-            backoffSleep(options_.retryBackoffMs, attempt);
             std::vector<PointFailure> still;
             for (PointFailure& failure : response.failures) {
                 if (!transientPointFailure(failure.diag.code) ||

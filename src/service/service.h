@@ -26,8 +26,9 @@
  *    discipline as the sweep engine, so a fault-injected run is
  *    bit-identical at any thread count. Request-level kService faults
  *    get the same treatment keyed on the request id (or the caller's
- *    faultKey); their backoff is a *timed requeue*, never a sleep on an
- *    executor, so one backing-off request cannot stall the pipeline.
+ *    faultKey). Both retry loops back off the same way: on the executor
+ *    lane that owns the request, and never past its deadline or a
+ *    shutdown, so a backing-off request holds only its own lane.
  *  - Admission control sheds (or, when configured, degrades to a
  *    sampled strategy with a smaller budget) once the queue exceeds a
  *    depth/age bound, so overload answers fast instead of timing out
@@ -35,9 +36,9 @@
  *  - Graceful shutdown: beginShutdown() — or SIGINT/SIGTERM via a
  *    CancelToken chained to processShutdownToken() — finishes in-flight
  *    requests early (partial results), answers every queued request
- *    with kShutdown, runs backing-off requests' remaining retry
- *    schedule immediately (backoff shapes timing, never decisions), and
- *    flushes the store.
+ *    with kShutdown, cuts every backoff short (a request-level retry
+ *    schedule still runs to its end, without the waits: backoff shapes
+ *    timing, never decisions), and flushes the store.
  *
  * Threading model (ROADMAP rules): submit()/wait() are any-thread.
  * ServiceOptions::concurrency executor threads each run one request at
@@ -52,17 +53,16 @@
  * request hands its clones back once the sweep has joined its workers,
  * so the next request on the key starts with warm estimator caches.
  * Two requests never touch the same clone, and concurrent clones of
- * one read-only prototype are safe. A housekeeping thread promotes
- * elapsed backoff requeues and batches QoR-store snapshots to disk off
- * the request threads. Results are bit-identical at any concurrency x
- * sweepThreads combination: every retry/fault/backoff decision keys on
- * (point or request, attempt), never on timing or executor placement.
+ * one read-only prototype are safe. A housekeeping thread batches
+ * QoR-store snapshots to disk off the request threads on a 50 ms tick.
+ * Results are bit-identical at any concurrency x sweepThreads
+ * combination: every retry/fault/backoff decision keys on (point or
+ * request, attempt), never on timing or executor placement.
  */
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -141,8 +141,8 @@ struct ServiceResponse {
     size_t storeHits = 0;       ///< Points served from the QoR store.
     size_t pointRetries = 0;    ///< Per-point retry attempts spent.
     size_t requestRetries = 0;  ///< Request-level retry attempts spent.
-    /** Wall clock from submit to first dispatch (queue wait only;
-     * backoff requeue delay counts as run time, not queue wait). */
+    /** Wall clock from submit to dispatch (queue wait only; retry
+     * backoff happens on the lane and counts as run time). */
     double queueSeconds = 0.0;
     double runSeconds = 0.0;
 };
@@ -172,9 +172,9 @@ struct ServiceOptions {
      * (HIDA_SERVICE_RETRIES). */
     size_t maxRetries = 2;
     /** Backoff before retry attempt k: backoffMs * 2^(k-1). Zero keeps
-     * tests instant; determinism never depends on it. Request-level
-     * backoff is served as a timed requeue (the executor moves on);
-     * point-level backoff sleeps only that request's executor lane. */
+     * tests instant; determinism never depends on it. Request- and
+     * point-level retries both wait on the request's own executor lane,
+     * cut short by its deadline or by shutdown. */
     double retryBackoffMs = 0.0;
     /** QoR store path (HIDA_QOR_STORE; "" = in-memory memo only). */
     std::string storePath;
@@ -206,8 +206,7 @@ struct ServiceStats {
     size_t degraded = 0;
     size_t pointRetries = 0;
     size_t requestRetries = 0;
-    size_t requeues = 0;      ///< Request-level timed backoff requeues.
-    size_t maxInFlight = 0;   ///< Peak concurrently executing requests.
+    size_t maxInFlight = 0;  ///< Peak concurrently executing requests.
 };
 
 class DseService {
@@ -239,8 +238,8 @@ class DseService {
 
     /**
      * Stop admitting, answer every queued request with kShutdown, let
-     * in-flight requests finish early (partial results; a backing-off
-     * request runs its remaining retry schedule without the waits),
+     * in-flight requests finish early (partial results; a request-level
+     * retry schedule runs its remaining attempts without the waits),
      * flush the store. Idempotent; also triggered by
      * processShutdownToken() cancellation (SIGINT/SIGTERM). Responses
      * stay waitable after.
@@ -282,15 +281,13 @@ class DseService {
         ServiceRequest request;
         bool degraded = false;
         std::chrono::steady_clock::time_point enqueued;
-        /** Timed-requeue state: next request-level fault attempt to
-         * roll (0 = never dispatched), retries spent so far, the queue
-         * wait recorded at first dispatch (< 0 = not yet dispatched)
-         * and, for delayed requeues, the eligibility time. */
-        size_t requestAttempt = 0;
-        size_t requestRetries = 0;
-        double queueSeconds = -1.0;
-        std::chrono::steady_clock::time_point notBefore;
     };
+
+    /** A request's deadline. Double-based, so no deadline (max()) and
+     * any finite tenant value compare without overflow. */
+    using Deadline =
+        std::chrono::time_point<std::chrono::steady_clock,
+                                std::chrono::duration<double>>;
 
     void executorMain(unsigned lane);
     void housekeepingMain();
@@ -306,18 +303,15 @@ class DseService {
                                        const DesignPointGrid& grid,
                                        size_t index,
                                        const std::vector<int64_t>& values);
+    /** The one backoff rule of both retry loops: sleep this lane for
+     * retryBackoffMs * 2^(attempt-1) in slices of at most 50 ms,
+     * returning early once cancel_ is cancelled (shutdown, or a signal
+     * through the chain) or @p deadline arrives. */
+    void backoffWait(size_t attempt, Deadline deadline) const;
     void respond(ServiceResponse response);
     void respondLocked(ServiceResponse response);
-    /** Answer every never-started queued request with kShutdown;
-     * backing-off requeues stay (executors finish them inline). */
-    void drainFreshLocked();
-    /** Pop any backing-off requeue, ignoring its notBefore (shutdown
-     * path: the remaining schedule runs without the waits). */
-    bool pickRequeuedLocked(Pending* out);
-    /** Move delayed requeues whose backoff elapsed into their tenant's
-     * queue front. Returns whether any became runnable. */
-    bool promoteDueLocked(std::chrono::steady_clock::time_point now);
-    uint64_t tenantWeight(const std::string& tenant) const;
+    /** Answer every queued request with kShutdown. */
+    void drainQueuedLocked();
 
     ServiceOptions options_;
     QorStore store_;
@@ -327,9 +321,7 @@ class DseService {
     std::condition_variable queueCv_;     ///< Executor wakeups.
     std::condition_variable houseCv_;     ///< Housekeeping wakeups.
     std::condition_variable responseCv_;  ///< wait() wakeups.
-    WeightedFairQueue<Pending> queue_;    ///< Runnable, per-tenant DRR.
-    std::vector<Pending> delayed_;        ///< Backoff requeues, unordered.
-    size_t freshQueued_ = 0;  ///< Admission depth: never-started entries.
+    WeightedFairQueue<Pending> queue_;    ///< Admitted, per-tenant DRR.
     size_t inFlight_ = 0;
     std::unordered_map<uint64_t, ServiceResponse> responses_;
     std::unordered_map<uint64_t, uint8_t> outstanding_;  ///< Totality check.

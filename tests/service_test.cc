@@ -18,12 +18,14 @@
  *  - Concurrency and fairness: per-request payloads are bit-identical
  *    at any HIDA_SERVICE_CONCURRENCY, deficit-weighted fair queuing
  *    keeps a chatty tenant from starving a light one, and a
- *    backing-off request is a timed requeue that never stalls the
- *    executor lanes.
+ *    backing-off request holds only its own executor lane.
+ *  - Backoff: one rule for point- and request-level retries — waits on
+ *    the owning lane, never past the request's deadline or a shutdown.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -613,10 +615,9 @@ TEST_F(ServiceTest, StaleQueuedRequestsAreShedAtDequeue)
     options.retryBackoffMs = 500.0;
     DseService service(options);
 
-    // Occupy the lane for ~1.5s of *point-level* retry backoff (which,
-    // unlike request-level backoff, deliberately sleeps only this
-    // lane): every point of the blocker faults, so its retry schedule
-    // sleeps 500ms + 1s between deterministic re-rolls.
+    // Occupy the lane for ~1.5s of point-level retry backoff, which
+    // waits on this lane: every point of the blocker faults, so its
+    // retry schedule waits 500ms + 1s between deterministic re-rolls.
     setFaultConfig(faultsAt(FaultSite::kEstimator, 42, 1.0));
     const uint64_t blocker = service.submit(smallRequest());
     while (service.queueDepth() > 0)
@@ -636,7 +637,15 @@ TEST_F(ServiceTest, StaleQueuedRequestsAreShedAtDequeue)
     EXPECT_GE(blocker_response.pointRetries, 8u);
 }
 
-TEST_F(ServiceTest, BackoffRequeueDoesNotStallThePipeline)
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
+TEST_F(ServiceTest, RequestBackoffHoldsOnlyItsLane)
 {
     // Find a fault key whose service-site verdict fires on attempts
     // 0..2 (that request exhausts its retries) and one that never
@@ -663,12 +672,11 @@ TEST_F(ServiceTest, BackoffRequeueDoesNotStallThePipeline)
     ASSERT_NE(blocked_key, 0u);
     ASSERT_NE(free_key, 0u);
 
-    // One lane, real backoff: under PR 9's dispatcher the backing-off
-    // request held the lane for 1s + 2s; with the timed requeue the
-    // free request must be answered while the faulted one is still
-    // waiting out its first backoff.
+    // Two lanes, real backoff: the faulted request backs off 1s + 2s on
+    // its own lane, and the free request must be answered on the other
+    // lane while the faulted one is still waiting.
     ServiceOptions options;
-    options.concurrency = 1;
+    options.concurrency = 2;
     options.maxRetries = 2;
     options.retryBackoffMs = 1000.0;
     DseService service(options);
@@ -683,34 +691,33 @@ TEST_F(ServiceTest, BackoffRequeueDoesNotStallThePipeline)
     ServiceResponse free_response = service.wait(free_id);
     EXPECT_EQ(free_response.status, RequestStatus::kCompleted)
         << free_response.diag.message;
-    // The faulted request is mid-backoff, not answered and not holding
-    // the lane.
-    ServiceStats mid = service.stats();
-    EXPECT_EQ(mid.failed, 0u);
-    EXPECT_GE(mid.requeues, 1u);
+    // The faulted request is mid-backoff, not answered yet.
+    EXPECT_EQ(service.stats().failed, 0u);
 
     ServiceResponse blocked_response = service.wait(blocked);
     setFaultConfig(FaultConfig());
     EXPECT_EQ(blocked_response.status, RequestStatus::kFailed);
     EXPECT_EQ(blocked_response.diag.code, ErrorCode::kFaultInjected);
     EXPECT_EQ(blocked_response.requestRetries, 2u);
-    EXPECT_EQ(service.stats().requeues, 2u);
+    EXPECT_EQ(service.stats().requestRetries, 2u);
 }
 
 TEST_F(ServiceTest, ShutdownRunsRemainingRetryScheduleWithoutDelay)
 {
     // A minute of backoff that must never actually be waited: shutdown
-    // runs the remaining retry schedule inline (backoff shapes timing,
-    // never decisions), so the request still fails with its full
-    // deterministic retry count — fast.
+    // cuts the wait short and the remaining retry schedule runs without
+    // it (backoff shapes timing, never decisions), so the request still
+    // fails with its full deterministic retry count — fast.
     ServiceOptions options;
     options.concurrency = 1;
     options.maxRetries = 2;
     options.retryBackoffMs = 60000.0;
     DseService service(options);
     setFaultConfig(faultsAt(FaultSite::kService, 42, 1.0));
+    const auto start = std::chrono::steady_clock::now();
     const uint64_t id = service.submit(smallRequest());
-    while (service.stats().requeues == 0)
+    // Dequeued means dispatched: attempt 0 fires and the lane backs off.
+    while (service.queueDepth() > 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     service.beginShutdown();
     ServiceResponse response = service.wait(id);
@@ -718,6 +725,81 @@ TEST_F(ServiceTest, ShutdownRunsRemainingRetryScheduleWithoutDelay)
     EXPECT_EQ(response.status, RequestStatus::kFailed);
     EXPECT_EQ(response.diag.code, ErrorCode::kFaultInjected);
     EXPECT_EQ(response.requestRetries, 2u);
+    EXPECT_LT(secondsSince(start), 5.0);
+}
+
+TEST_F(ServiceTest, RequestBackoffPastTheDeadlineAnswersPartial)
+{
+    // Every attempt faults and the first backoff (1s) outlasts the 0.3s
+    // deadline: the wait ends at the deadline and the request is
+    // answered deadline-exceeded before it rolls attempt 1.
+    ServiceOptions options;
+    options.concurrency = 1;
+    options.maxRetries = 2;
+    options.retryBackoffMs = 1000.0;
+    DseService service(options);
+    setFaultConfig(faultsAt(FaultSite::kService, 42, 1.0));
+    ServiceRequest request = smallRequest();
+    request.deadlineSeconds = 0.3;
+    const auto start = std::chrono::steady_clock::now();
+    ServiceResponse response = service.wait(service.submit(request));
+    setFaultConfig(FaultConfig());
+    EXPECT_EQ(response.status, RequestStatus::kPartial);
+    EXPECT_EQ(response.diag.code, ErrorCode::kDeadlineExceeded);
+    EXPECT_EQ(response.requestRetries, 1u);
+    EXPECT_LT(secondsSince(start), 0.9);
+}
+
+TEST_F(ServiceTest, BackoffNeverOutlivesTheDeadline)
+{
+    // Every point faults; the first point-level backoff (1s) would end
+    // long after the 0.3s deadline. The wait is cut at the deadline and
+    // no retry follows it.
+    ServiceOptions options;
+    options.concurrency = 1;
+    options.maxRetries = 2;
+    options.retryBackoffMs = 1000.0;
+    DseService service(options);
+    // Build the key's prototype first, so the deadline is spent on the
+    // sweep and the backoff, not on lowering LeNet. Another grid has
+    // other point fingerprints: the request below still misses.
+    ServiceRequest warm = smallRequest();
+    warm.grid = DesignPointGrid();
+    warm.grid.addDirectiveAxis("kpf1", {1}, 1, "kpf_loop");
+    ASSERT_EQ(service.wait(service.submit(warm)).status,
+              RequestStatus::kCompleted);
+    setFaultConfig(faultsAt(FaultSite::kEstimator, 42, 1.0));
+    ServiceRequest request = smallRequest();
+    request.deadlineSeconds = 0.3;
+    ServiceResponse response = service.wait(service.submit(request));
+    setFaultConfig(FaultConfig());
+    EXPECT_LT(response.queueSeconds + response.runSeconds, 0.9);
+    EXPECT_EQ(response.pointRetries, 0u);
+}
+
+TEST_F(ServiceTest, ShutdownCutsAPointBackoffShort)
+{
+    // Every point faults and the first point-level backoff is a minute
+    // long; shutdown must end it at once, not after the minute.
+    ServiceOptions options;
+    options.concurrency = 1;
+    options.maxRetries = 2;
+    options.retryBackoffMs = 60000.0;
+    DseService service(options);
+    setFaultConfig(faultsAt(FaultSite::kEstimator, 42, 1.0));
+    const uint64_t id = service.submit(smallRequest());
+    // All 8 store lookups missed: the sweep is over and the lane is
+    // entering (or in) its backoff.
+    while (service.storeStats().misses < 8)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto start = std::chrono::steady_clock::now();
+    service.beginShutdown();
+    ServiceResponse response = service.wait(id);
+    setFaultConfig(FaultConfig());
+    EXPECT_LT(secondsSince(start), 5.0);
+    EXPECT_EQ(response.failures.size(), 8u);
+    EXPECT_EQ(response.pointRetries, 0u);
 }
 
 TEST_F(ServiceTest, WeightedFairQueuingPreventsStarvation)
