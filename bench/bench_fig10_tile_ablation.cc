@@ -9,8 +9,8 @@
  *
  * Each point is an independent full compile, run as an exhaustive
  * runStrategySweep: every worker builds and compiles its own modules,
- * and results are printed in grid order — identical output at any
- * HIDA_BENCH_THREADS (pinned by the bench_fig10_tile_ablation_golden_*
+ * points are visited in the Gray order and results are printed in grid
+ * order — identical output at any HIDA_BENCH_THREADS (pinned by the bench_fig10_tile_ablation_golden_*
  * ctests). A point that fails to compile, or a worker that dies, fails
  * the bench (exit 1) instead of printing a partial figure.
  */
@@ -33,8 +33,7 @@ main()
     grid.addAxis("pf", {1, 4, 16, 64, 256});
     grid.addAxis("tile", {2, 4, 8, 16, 32});
 
-    StrategyOptions exhaustive;  // Every point, in HIDA_DSE_ORDER order.
-    exhaustive.order = sweepScheduleFromEnv().order;
+    StrategyOptions exhaustive;  // Every point, in the Gray order.
     std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, exhaustive);
     StrategyOutcome<CompileResult> outcome = runStrategySweep<CompileResult>(
         grid, *strategy,

@@ -8,8 +8,8 @@
  * IA+CA spends several-fold less DSP/BRAM for the same throughput.
  *
  * Points are independent full compiles, run as an exhaustive
- * runStrategySweep over the (arm, PF) grid and printed in grid order, so
- * the output is identical at any HIDA_BENCH_THREADS (pinned by the
+ * runStrategySweep over the (arm, PF) grid, visited in the Gray order
+ * and printed in grid order, so the output is identical at any HIDA_BENCH_THREADS (pinned by the
  * bench_fig11_iaca_ablation_golden_* ctests). A point that fails to
  * compile, or a worker that dies, fails the bench (exit 1) instead of
  * printing a partial figure.
@@ -46,8 +46,7 @@ main()
     HIDA_ASSERT(grid.axis(0).values.size() == std::size(arms),
                 "arm axis and arms[] diverged");
 
-    StrategyOptions exhaustive;  // Every point, in HIDA_DSE_ORDER order.
-    exhaustive.order = sweepScheduleFromEnv().order;
+    StrategyOptions exhaustive;  // Every point, in the Gray order.
     std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, exhaustive);
     StrategyOutcome<CompileResult> outcome = runStrategySweep<CompileResult>(
         grid, *strategy,

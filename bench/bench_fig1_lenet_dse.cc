@@ -11,9 +11,12 @@
  * once; the per-factor grid is then swept by runStrategySweep
  * (src/dse/strategy.h), the one DSE sweep driver: every worker
  * deep-clones the prototype, re-applies the factors per point,
- * re-partitions the arrays and re-estimates QoR with its own estimator,
- * and results are merged in grid order — so stdout is bit-identical to
- * the serial sweep at any HIDA_BENCH_THREADS.
+ * re-partitions the arrays and re-estimates QoR with its own estimator.
+ * The exhaustive strategy visits points in the Gray order (each step
+ * rewrites one directive) and results are merged in grid order — so
+ * stdout is bit-identical to the serial sweep at any HIDA_BENCH_THREADS.
+ * The Table 2 expert point is one more CloneSweepWorker evaluation on
+ * the batch-10 dataflow prototype.
  *
  * Prototypes are verified up front, a failed point (e.g. under
  * HIDA_FAULT_INJECT=kind:seed:rate) is reported on stderr and excluded
@@ -35,9 +38,6 @@
  *                                 (default exhaustive — byte-identical
  *                                 stdout to the pre-strategy bench);
  *   HIDA_DSE_SEED=<n>             root of every sampling decision;
- *   HIDA_DSE_ORDER=gray|row-major exhaustive evaluation order (gray:
- *                                 consecutive points mutate one
- *                                 directive — max estimator memo reuse);
  *   HIDA_DSE_BUDGET=<n>           points per (mode, batch) sweep a
  *                                 sampling strategy may propose
  *                                 (default 10% of the grid);
@@ -59,7 +59,6 @@
 #include <string>
 #include <vector>
 
-#include "src/dialect/affine/affine_ops.h"
 #include "src/driver/driver.h"
 #include "src/dse/strategy.h"
 #include "src/dse/sweep.h"
@@ -72,36 +71,11 @@ using namespace hida;
 
 namespace {
 
-// Namespace-scope interned tags: interned once at startup, before any
-// worker thread exists. (Function-local statics would also be safe —
-// magic-static init plus the now-internally-locked Identifier::get —
-// this is a warm-up and a scoping choice, not a race fix.)
-const Identifier kLayerSeqId = Identifier::get("layer_seq");
-const Identifier kKpfLoopId = Identifier::get("kpf_loop");
-const Identifier kCpfLoopId = Identifier::get("cpf_loop");
-
 struct Point {
     double util = 0.0;       ///< max(BRAM%, DSP%, LUT%).
     double throughput = 0.0; ///< images/s (batch-adjusted).
     bool dataflow = false;
 };
-
-/** Set the kpf/cpf unroll factors of layer @p seq (Table 2 fixed points;
- * the sweep itself goes through the grid-driven applyPoint). */
-void
-setLayerFactors(ModuleOp module, int64_t seq, int64_t kpf, int64_t cpf)
-{
-    module.op()->walk([&](Operation* op) {
-        if (!isa<ForOp>(op) || op->intAttrOr(kLayerSeqId, -1) != seq)
-            return;
-        if (op->hasAttr(kKpfLoopId))
-            ForOp(op).setUnrollFactor(
-                std::min<int64_t>(kpf, ForOp(op).tripCount()));
-        if (op->hasAttr(kCpfLoopId))
-            ForOp(op).setUnrollFactor(
-                std::min<int64_t>(cpf, ForOp(op).tripCount()));
-    });
-}
 
 /** The Table 1 factor grid (KPF/CPF per layer; CPF1 is fixed at 1). */
 DesignPointGrid
@@ -159,7 +133,7 @@ main()
     const DesignPointGrid grid = factorGrid();
     const unsigned threads = dseThreadCount();
 
-    // Strategy selection: HIDA_DSE_STRATEGY/SEED/BUDGET/ORDER (an unknown
+    // Strategy selection: HIDA_DSE_STRATEGY/SEED/BUDGET (an unknown
     // strategy is a user error — exit kFatalExitCode, never a silent
     // exhaustive fallback). The feasibility limit feeds evolve's parent
     // filter: over-utilized points never breed.
@@ -167,9 +141,6 @@ main()
     strategy_options.costLimit = 1.05;
     const bool sampled =
         strategy_options.kind != StrategyKind::kExhaustive;
-    // The sampling runs' exhaustive reference sweep keeps the ordering.
-    StrategyOptions reference_options;
-    reference_options.order = strategy_options.order;
 
     const char* journal_prefix = std::getenv("HIDA_SWEEP_JOURNAL");
     const double deadline_seconds = sweepDeadlineSeconds();
@@ -290,7 +261,7 @@ main()
             // and count how much of it the sample dominates-or-equals.
             if (sampled) {
                 std::unique_ptr<SearchStrategy> exhaustive =
-                    makeStrategy(grid, reference_options);
+                    makeStrategy(grid, StrategyOptions());
                 StrategyOutcome<Point> reference = runStrategySweep<Point>(
                     grid, *exhaustive, factory, objective, threads);
                 std::vector<ParetoSample> feasible;
@@ -419,7 +390,8 @@ main()
 
     // ---- Table 2 ----
     // Expert design: the heuristic hand-tuned configuration (mid-grid
-    // intensity-guided factors at batch 10 with dataflow).
+    // intensity-guided factors at batch 10 with dataflow), one grid
+    // point evaluated like any swept one.
     double expert = 0.0, expert_util = 0.0;
     {
         OwnedModule module = buildLeNet(10);
@@ -427,17 +399,18 @@ main()
         options.enableTiling = false;
         options.enableParallelization = false;
         compile(module.get(), options, device);
-        setLayerFactors(module.get(), 1, 3, 1);
-        setLayerFactors(module.get(), 2, 8, 3);
-        setLayerFactors(module.get(), 3, 6, 8);
-        FuncOp func = topFunc(module.get());
         FlowOptions partition_options = options;
         partition_options.enableParallelization = true;
-        createArrayPartitionPass(partition_options)->runOnModule(module.get());
-        QorEstimator estimator(device);
-        DesignQor qor = estimator.estimateFunc(func);
-        expert = qor.throughput(device) * 10;
-        expert_util = qor.res.utilization(device);
+        CloneSweepWorker worker(module.get(),
+                                createArrayPartitionPass(partition_options),
+                                device);
+        // (kpf1, cpf1, kpf2, cpf2, kpf3, cpf3), in factorGrid() order.
+        Result<DesignQor> qor =
+            worker.evaluateChecked(grid, {3, 1, 8, 3, 6, 8});
+        if (!qor.ok())
+            HIDA_FATAL("Table 2 expert point failed: ", qor.diag().message);
+        expert = qor.value().throughput(device) * 10;
+        expert_util = qor.value().res.utilization(device);
     }
     // HIDA design: fully automated flow (options untouched).
     CompileResult hida = compileAutoTuned(

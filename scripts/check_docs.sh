@@ -10,9 +10,11 @@
 #      `scripts/...`, `examples/...`, `perfbench/...`) in README.md and
 #      docs/*.md exists, so the docs cannot name a deleted file.
 #      ROADMAP.md is exempt: it names planned files on purpose.
-#   4. Every backticked HIDA_* name in the README knob table is read
-#      somewhere in src/, bench/, scripts/ or tests/, so a deleted knob
-#      cannot leave a stale row behind.
+#   4. Every backticked HIDA_* name in README.md and docs/*.md (knob
+#      table rows and prose alike) is read somewhere in src/, bench/,
+#      scripts/ or tests/, so a deleted knob cannot leave a stale row or
+#      sentence behind. Macros #defined in src/ (HIDA_ASSERT, ...) are
+#      exempt.
 #
 # Exit non-zero with one line per problem; print OK otherwise. Callable
 # locally from anywhere inside the repo.
@@ -100,24 +102,31 @@ for doc in "${doc_files[@]}"; do
                  "$doc" | sed 's/^`//; s/`$//')
 done
 
-# ---- 4. No stale knob rows ------------------------------------------------
-# The knob table's rows start with a backticked HIDA_* name; every
-# backticked HIDA_* name in those rows must still be read somewhere.
+# ---- 4. No stale knob names -----------------------------------------------
+# Every HIDA_* name inside an inline code span of the docs must still be
+# read somewhere; names #defined in src/ are macros, not knobs.
 read_vars=" $(env_reads src/ bench/ scripts/ tests/ | tr '\n' ' ') "
-row_vars=$(grep -E '^\| `HIDA_' README.md |
-               grep -oE '`HIDA_[A-Z_0-9]+`' | tr -d '`' | sort -u)
-for var in $row_vars; do
-    if [[ "$read_vars" != *" $var "* ]]; then
-        echo "FAIL: README knob table names $var, but nothing in src/," \
-             "bench/, scripts/ or tests/ reads it" >&2
-        status=1
-    fi
+read_vars+="$(grep -rhoE '#define HIDA_[A-Z_0-9]+' src/ |
+                  cut -d' ' -f2 | tr '\n' ' ') "
+doc_vars=""
+for doc in "${doc_files[@]}"; do
+    for var in $(grep -ohE '`[^`]+`' "$doc" |
+                     grep -oE 'HIDA_[A-Z_0-9]+' | sort -u); do
+        doc_vars+="$var"$'\n'
+        if [[ "$read_vars" != *" $var "* ]]; then
+            echo "FAIL: $doc names $var, but nothing in src/, bench/," \
+                 "scripts/ or tests/ reads it" >&2
+            status=1
+        fi
+    done
 done
+doc_vars=$(echo -n "$doc_vars" | sort -u)
 
 if [[ $status -ne 0 ]]; then
     exit $status
 fi
 echo "OK: all relative doc links resolve; knob table covers" \
-     "$(echo "$vars" | wc -w) HIDA_* env vars; its" \
-     "$(echo "$row_vars" | wc -w) names are all read; $paths_checked" \
+     "$(echo "$vars" | wc -w) HIDA_* env vars; the" \
+     "$(echo "$doc_vars" | wc -w) HIDA_* names the docs use are all read;" \
+     "$paths_checked" \
      "backticked repo paths exist"

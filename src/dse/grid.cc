@@ -32,15 +32,6 @@ DesignPointGrid::addDirectiveAxis(std::string name,
 }
 
 size_t
-DesignPointGrid::axisIndex(std::string_view name) const
-{
-    for (size_t i = 0; i < axes_.size(); ++i)
-        if (axes_[i].name == name)
-            return i;
-    HIDA_PANIC("unknown grid axis ", std::string(name));
-}
-
-size_t
 DesignPointGrid::size() const
 {
     size_t n = 1;
@@ -59,14 +50,6 @@ DesignPointGrid::decode(size_t index, std::vector<int64_t>& values) const
         values[i] = axis_values[index % axis_values.size()];
         index /= axis_values.size();
     }
-}
-
-std::vector<int64_t>
-DesignPointGrid::point(size_t index) const
-{
-    std::vector<int64_t> values;
-    decode(index, values);
-    return values;
 }
 
 void
@@ -97,34 +80,10 @@ DesignPointGrid::encode(const std::vector<size_t>& value_indices) const
     return index;
 }
 
-std::optional<PointOrder>
-parsePointOrder(std::string_view name)
-{
-    if (name == "row-major")
-        return PointOrder::kRowMajor;
-    if (name == "gray")
-        return PointOrder::kGrayCode;
-    return std::nullopt;
-}
-
-std::string_view
-pointOrderName(PointOrder order)
-{
-    switch (order) {
-      case PointOrder::kRowMajor:
-        return "row-major";
-      case PointOrder::kGrayCode:
-        return "gray";
-    }
-    return "unknown";
-}
-
 size_t
-DesignPointGrid::orderedIndex(size_t pos, PointOrder order) const
+DesignPointGrid::grayIndex(size_t pos) const
 {
     HIDA_ASSERT(pos < size(), "enumeration position out of range");
-    if (order == PointOrder::kRowMajor)
-        return pos;
     // Mixed-radix reflected Gray code: axis i's plain digit d runs
     // upward when the plain prefix above it has even digit-sum parity
     // and downward (reflected) when odd, so stepping pos by one changes

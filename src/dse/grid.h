@@ -53,37 +53,11 @@ struct GridAxis {
 };
 
 /**
- * Enumeration orders over a grid's points.
- *
- *  - kRowMajor: the historical axis-0-slowest nesting order (grid index
- *    == enumeration position). Consecutive points usually step the
- *    fastest axis, but every "rollover" moves several axes at once.
- *  - kGrayCode: the mixed-radix reflected Gray code over the same axes:
- *    consecutive positions differ in *exactly one* axis, by exactly one
- *    value step, including across rollovers. A sweep walking this order
- *    mutates a single directive per point, so each step dirties the
- *    minimum number of IR subtrees (QorEstimator::cacheStats() shows
- *    strictly fewer hashRecomputes than row-major, ~2x on the fig1
- *    grid; pinned by tests/dse_strategy_test.cc).
- *
- * Either order is a bijection over [0, size()), and sweep results are
- * always merged by *grid index* — the enumeration order can never
- * change a sweep's output.
- */
-enum class PointOrder : uint8_t { kRowMajor, kGrayCode };
-
-/** Parse "row-major"|"gray" (nullopt on anything else). */
-std::optional<PointOrder> parsePointOrder(std::string_view name);
-
-/** Stable name of @p order (the HIDA_DSE_ORDER spelling). */
-std::string_view pointOrderName(PointOrder order);
-
-/**
  * Cartesian grid over named axes. Points are enumerated row-major with
  * axis 0 slowest (the nesting order of the serial loops the grid
  * replaces), so shard boundaries and result merging are deterministic at
- * any thread count. orderedIndex() layers alternative evaluation orders
- * on top without disturbing the canonical index space.
+ * any thread count. grayIndex() layers the exhaustive strategy's
+ * visit order on top without disturbing the canonical index space.
  */
 class DesignPointGrid {
   public:
@@ -97,8 +71,6 @@ class DesignPointGrid {
 
     size_t numAxes() const { return axes_.size(); }
     const GridAxis& axis(size_t i) const { return axes_.at(i); }
-    /** Index of the axis named @p name (asserts on unknown names). */
-    size_t axisIndex(std::string_view name) const;
 
     /** Number of points (product of axis sizes; 1 for an empty grid). */
     size_t size() const;
@@ -108,8 +80,6 @@ class DesignPointGrid {
      * @p values is resized to numAxes().
      */
     void decode(size_t index, std::vector<int64_t>& values) const;
-    /** Allocating convenience wrapper around decode(). */
-    std::vector<int64_t> point(size_t index) const;
 
     /**
      * Decode linear @p index into per-axis *value indices* (positions
@@ -127,13 +97,18 @@ class DesignPointGrid {
     size_t encode(const std::vector<size_t>& value_indices) const;
 
     /**
-     * Grid index of enumeration position @p pos under @p order: the
-     * identity for kRowMajor, the mixed-radix reflected Gray code for
-     * kGrayCode. A bijection over [0, size()) for any order, so a sweep
-     * that walks positions and stores by the returned index visits
-     * every point exactly once. Allocation-free.
+     * Grid index of enumeration position @p pos in the mixed-radix
+     * reflected Gray code over the axes: consecutive positions differ
+     * in *exactly one* axis, by exactly one value step, including
+     * across rollovers. The exhaustive strategy proposes points in this
+     * order, so a sweep mutates a single directive per point and dirties
+     * the fewest IR subtrees (QorEstimator::cacheStats() shows strictly
+     * fewer hashRecomputes than a grid-index walk, ~2x on the fig1
+     * grid; pinned by tests/dse_strategy_test.cc). A bijection over
+     * [0, size()), and sweep results merge by grid index, so the visit
+     * order never changes a sweep's output. Allocation-free.
      */
-    size_t orderedIndex(size_t pos, PointOrder order) const;
+    size_t grayIndex(size_t pos) const;
 
     /**
      * Process-independent structural hash of the grid: axis names,

@@ -288,14 +288,12 @@ resolveBudget(const DesignPointGrid& grid, size_t budget)
     return std::min(budget == 0 ? fallback : budget, grid.size());
 }
 
-/** Every point, one batch, proposed in the configured PointOrder.
- * Under kGrayCode consecutive batch positions mutate exactly one
- * directive, so each worker's slice walks single-axis steps. */
+/** Every point, one batch, proposed in the Gray order: consecutive
+ * batch positions mutate exactly one directive, so each worker's slice
+ * walks single-axis steps. */
 class ExhaustiveStrategy : public SearchStrategy {
   public:
-    ExhaustiveStrategy(const DesignPointGrid& grid, PointOrder order)
-        : grid_(grid), order_(order)
-    {}
+    explicit ExhaustiveStrategy(const DesignPointGrid& grid) : grid_(grid) {}
 
     std::string_view name() const override { return "exhaustive"; }
 
@@ -308,14 +306,13 @@ class ExhaustiveStrategy : public SearchStrategy {
         size_t n = grid_.size();
         out.reserve(n);
         for (size_t pos = 0; pos < n; ++pos)
-            out.push_back(grid_.orderedIndex(pos, order_));
+            out.push_back(grid_.grayIndex(pos));
     }
 
     void consume(const std::vector<StrategyResult>&) override {}
 
   private:
     const DesignPointGrid& grid_;
-    PointOrder order_;
     bool done_ = false;
 };
 
@@ -1022,7 +1019,7 @@ makeStrategy(const DesignPointGrid& grid, const StrategyOptions& options)
 {
     switch (options.kind) {
       case StrategyKind::kExhaustive:
-        return std::make_unique<ExhaustiveStrategy>(grid, options.order);
+        return std::make_unique<ExhaustiveStrategy>(grid);
       case StrategyKind::kRandom:
         return std::make_unique<RandomStrategy>(grid, options.seed,
                                                 options.budget);
@@ -1055,7 +1052,6 @@ strategyOptionsFromEnv()
     // to clamp silently to ULLONG_MAX.
     options.seed = envUint("HIDA_DSE_SEED", options.seed);
     options.budget = envUint("HIDA_DSE_BUDGET", 0);
-    options.order = sweepScheduleFromEnv().order;
     return options;
 }
 

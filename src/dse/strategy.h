@@ -14,10 +14,9 @@
  * resume, deadline, cancel and point budget.
  *
  * Four built-in strategies (makeStrategy / HIDA_DSE_STRATEGY):
- *  - exhaustive: every point, one batch, proposed in the configured
- *    PointOrder (HIDA_DSE_ORDER; gray by default, so consecutive
- *    points mutate exactly one directive) — byte-identical output at
- *    any order and thread count.
+ *  - exhaustive: every point, one batch, proposed in the Gray order
+ *    (DesignPointGrid::grayIndex, so consecutive points mutate exactly
+ *    one directive) — byte-identical output at any thread count.
  *  - random: seeded uniform sampling without replacement.
  *  - lhs: latin-hypercube sampling over the named axes (every axis
  *    stratified into budget slices, permuted independently).
@@ -138,13 +137,6 @@ struct StrategyOptions {
      * 0 = no limit.
      */
     double costLimit = 0.0;
-    /**
-     * Enumeration order of the exhaustive strategy (HIDA_DSE_ORDER).
-     * Gray code proposes single-directive steps for maximal estimator
-     * memo reuse; sampling strategies choose their own batch
-     * compositions and ignore it.
-     */
-    PointOrder order = PointOrder::kGrayCode;
 };
 
 /**
@@ -157,7 +149,7 @@ std::unique_ptr<SearchStrategy> makeStrategy(const DesignPointGrid& grid,
 /**
  * StrategyOptions from the environment: HIDA_DSE_STRATEGY (default
  * exhaustive), HIDA_DSE_SEED (default 42), HIDA_DSE_BUDGET (default 0 =
- * 10% of grid), HIDA_DSE_ORDER (default gray). An unknown strategy
+ * 10% of grid). An unknown strategy
  * name or a malformed/overflowing number is a *user* error:
  * HIDA_FATAL, exit kFatalExitCode (65) — never a silent fallback to
  * exhaustive (and never a silent clamp of an overflowed seed).
@@ -169,8 +161,8 @@ StrategyOptions strategyOptionsFromEnv();
  * Each worker owns a contiguous slot [count*w/W, count*(w+1)/W) it
  * consumes from the front in chunks; a dry worker steals the back half
  * of a victim's remainder and adopts it. Owners keep their locality
- * (neighboring positions differ in few axes — exactly one under
- * PointOrder::kGrayCode), and uneven point costs, or a worker that died
+ * (neighboring positions of the exhaustive Gray walk differ in exactly
+ * one axis), and uneven point costs, or a worker that died
  * in its init, never strand work. reset() must happen-before the
  * workers' take() calls (the pool's round hand-off provides that);
  * take() is safe to call concurrently from all workers.

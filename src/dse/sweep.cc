@@ -10,21 +10,6 @@
 
 namespace hida {
 
-SweepSchedule
-sweepScheduleFromEnv()
-{
-    SweepSchedule schedule;
-    if (const char* env = std::getenv("HIDA_DSE_ORDER");
-        env != nullptr && *env != '\0') {
-        auto order = parsePointOrder(env);
-        if (!order)
-            HIDA_FATAL("invalid HIDA_DSE_ORDER '", env,
-                       "': expected 'gray' or 'row-major'");
-        schedule.order = *order;
-    }
-    return schedule;
-}
-
 std::optional<Diagnostic>
 verifySweepPrototype(ModuleOp prototype)
 {

@@ -76,21 +76,13 @@ struct PointFailure {
 };
 
 /**
- * Evaluation order of one sweep. Gray code (the default) steps a single
- * directive per point; kRowMajor is the historical nested-loop walk.
- * The order cannot change a sweep's output — only its evaluation order
- * and wall clock (results merge by grid index).
+ * Empty placeholder. Sweeps have one visit order (the exhaustive
+ * strategy's Gray walk, DesignPointGrid::grayIndex), so there is
+ * nothing left to schedule; the type and ServiceOptions::schedule stay
+ * only because the repo benchmark's service driver assigns them, and
+ * removing them needs a change to that benchmark.
  */
-struct SweepSchedule {
-    PointOrder order = PointOrder::kGrayCode;
-};
-
-/**
- * SweepSchedule from HIDA_DSE_ORDER ("gray"|"row-major"). Unset/empty
- * keeps the default; anything else is a user error (exits
- * kFatalExitCode).
- */
-SweepSchedule sweepScheduleFromEnv();
+struct SweepSchedule {};
 
 /** Stop conditions and checkpointing of one sweep. */
 struct SweepLimits {

@@ -79,6 +79,15 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return Seconds(std::chrono::steady_clock::now() - start).count();
 }
 
+/** The status diag of a request whose sweep or retries shutdown cut
+ * short (the only canceller of the service's token chain). */
+Diagnostic
+shutdownDiag()
+{
+    return Diagnostic(ErrorCode::kShutdown,
+                      "service shutting down; partial results", "service");
+}
+
 /** Exponential backoff before retry @p attempt (1-based): base *
  * 2^(attempt-1) ms. Timing never feeds any retry *decision*. */
 double
@@ -159,7 +168,6 @@ ServiceOptions::fromEnv()
         options.tenantWeights = parseTenantWeights(weights);
     if (const char* store = std::getenv("HIDA_QOR_STORE"))
         options.storePath = store;
-    options.schedule = sweepScheduleFromEnv();
     return options;
 }
 
@@ -511,15 +519,18 @@ DseService::releaseWorker(Session& session,
 Result<ServicePoint>
 DseService::evaluatePoint(Session& session, CloneSweepWorker& worker,
                           const DesignPointGrid& grid, size_t index,
-                          const std::vector<int64_t>& values)
+                          const std::vector<int64_t>& values,
+                          PointTally& tally)
 {
     ServicePoint point;
     // Process-independent key: any process (or tenant) that evaluated
     // this exact (prototype, directive assignment) already paid for it.
     const uint64_t key =
         hashCombine(session.modelHash, grid.pointFingerprint(index));
-    if (store_.lookup(key, &point))
+    if (store_.lookup(key, &point)) {
+        ++tally.storeHits;
         return point;
+    }
     Result<DesignQor> qor = worker.evaluateChecked(grid, values);
     if (!qor.ok())
         return qor.takeDiag();
@@ -527,6 +538,7 @@ DseService::evaluatePoint(Session& session, CloneSweepWorker& worker,
     point.throughput = qor.value().throughput(options_.device) *
                        static_cast<double>(session.batch);
     store_.insert(key, &point);
+    ++tally.evaluated;
     return point;
 }
 
@@ -621,13 +633,13 @@ DseService::runRequest(Pending pending)
     if (has_deadline)
         limits.deadlineSeconds = remaining;
 
-    const QorStore::Stats store_before = store_.stats();
+    PointTally tally;
     // The clones this request's sweep workers claimed (factories run on
     // the pool's threads), handed back to the key's pool below.
     std::mutex claimed_mutex;
     std::vector<std::shared_ptr<CloneSweepWorker>> claimed;
     std::function<ResilientWorker<ServicePoint>()> factory =
-        [this, &session, &grid, &claimed_mutex, &claimed]() {
+        [this, &session, &grid, &tally, &claimed_mutex, &claimed]() {
             std::shared_ptr<CloneSweepWorker> w = claimWorker(session);
             {
                 std::lock_guard<std::mutex> lock(claimed_mutex);
@@ -635,11 +647,12 @@ DseService::runRequest(Pending pending)
             }
             ResilientWorker<ServicePoint> worker;
             worker.evaluate =
-                [this, &session, &grid, w](
+                [this, &session, &grid, &tally, w](
                     size_t index,
                     const std::vector<int64_t>& values)
                 -> Result<ServicePoint> {
-                return evaluatePoint(session, *w, grid, index, values);
+                return evaluatePoint(session, *w, grid, index, values,
+                                     tally);
             };
             worker.recover = [w]() { w->rebuild(); };
             worker.cacheStats = [w]() { return w->estimator.cacheStats(); };
@@ -667,18 +680,14 @@ DseService::runRequest(Pending pending)
     response.completed = std::move(outcome.completed);
     response.failures = std::move(outcome.failures);
     response.workerFailures = std::move(outcome.stats.workerFailures);
-    // The sweep counts every successful evaluate() — including ones the
-    // store answered. "evaluated" reports genuinely recomputed points,
-    // so warm-started requests read as (evaluated 0, storeHits N).
-    const size_t sweep_hits = store_.stats().hits - store_before.hits;
-    response.evaluated = outcome.stats.evaluated > sweep_hits
-                             ? outcome.stats.evaluated - sweep_hits
-                             : 0;
 
     // Bounded deterministic retry of transient point failures, serial
     // and in grid order on this thread: attempt k re-rolls point i's
     // fault dice under key hash(i, k) — never under timing or thread
     // placement, so retried runs stay bit-identical at any thread count.
+    // A retry schedule cut short by shutdown or the deadline leaves the
+    // request partial, like a sweep stopped by either.
+    std::optional<Diagnostic> retries_cut;
     if (!outcome.stats.stopped && !response.failures.empty() &&
         options_.maxRetries > 0) {
         std::shared_ptr<CloneSweepWorker> retry_worker;
@@ -695,13 +704,25 @@ DseService::runRequest(Pending pending)
             // the deadline (or one that started past them, which returns
             // at once) is never followed by a retry.
             backoffWait(attempt, deadline);
-            if (cancel_.cancelled() ||
-                Deadline(std::chrono::steady_clock::now()) >= deadline)
+            if (cancel_.cancelled()) {
+                retries_cut = shutdownDiag();
                 break;
+            }
+            if (Deadline(std::chrono::steady_clock::now()) >= deadline) {
+                retries_cut = Diagnostic(
+                    ErrorCode::kDeadlineExceeded,
+                    "deadline exhausted during point retry backoff",
+                    "service");
+                break;
+            }
             std::vector<PointFailure> still;
             for (PointFailure& failure : response.failures) {
-                if (!transientPointFailure(failure.diag.code) ||
-                    cancel_.cancelled()) {
+                if (!transientPointFailure(failure.diag.code)) {
+                    still.push_back(std::move(failure));
+                    continue;
+                }
+                if (cancel_.cancelled()) {
+                    retries_cut = shutdownDiag();
                     still.push_back(std::move(failure));
                     continue;
                 }
@@ -714,12 +735,11 @@ DseService::runRequest(Pending pending)
                 Result<ServicePoint> result =
                     guardedEvaluate<ServicePoint>(failure.index, "retry", [&] {
                         return evaluatePoint(session, *retry_worker, grid,
-                                             failure.index, values);
+                                             failure.index, values, tally);
                     });
                 if (result.ok()) {
                     response.results[failure.index] = result.value();
                     response.completed[failure.index] = 1;
-                    ++response.evaluated;
                 } else {
                     failure.diag = result.takeDiag();
                     retry_worker->rebuild();
@@ -727,12 +747,15 @@ DseService::runRequest(Pending pending)
                 }
             }
             response.failures = std::move(still);
+            if (retries_cut)
+                break;
         }
         if (retry_worker)
             releaseWorker(session, std::move(retry_worker));
     }
 
-    response.storeHits = store_.stats().hits - store_before.hits;
+    response.evaluated = tally.evaluated;
+    response.storeHits = tally.storeHits;
     response.runSeconds = secondsSince(start);
     if (outcome.stats.stopped && outcome.stats.stopReason) {
         response.status = RequestStatus::kPartial;
@@ -740,11 +763,12 @@ DseService::runRequest(Pending pending)
         // or process signal) — report it as such, not as a bare cancel.
         if (outcome.stats.stopReason->code == ErrorCode::kCancelled &&
             cancel_.cancelled())
-            response.diag = Diagnostic(
-                ErrorCode::kShutdown,
-                "service shutting down; partial results", "service");
+            response.diag = shutdownDiag();
         else
             response.diag = *outcome.stats.stopReason;
+    } else if (retries_cut) {
+        response.status = RequestStatus::kPartial;
+        response.diag = std::move(*retries_cut);
     } else {
         response.status = RequestStatus::kCompleted;
     }

@@ -60,6 +60,7 @@
  * request, attempt), never on timing or executor placement.
  */
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -137,8 +138,8 @@ struct ServiceResponse {
     std::vector<PointFailure> failures;
     /** Sweep workers retired by escaped exceptions (kWorkerFailed). */
     std::vector<Diagnostic> workerFailures;
-    size_t evaluated = 0;       ///< Points newly evaluated (not store hits).
-    size_t storeHits = 0;       ///< Points served from the QoR store.
+    size_t evaluated = 0;       ///< Own points newly evaluated.
+    size_t storeHits = 0;       ///< Own points the QoR store served.
     size_t pointRetries = 0;    ///< Per-point retry attempts spent.
     size_t requestRetries = 0;  ///< Request-level retry attempts spent.
     /** Wall clock from submit to dispatch (queue wait only; retry
@@ -178,9 +179,8 @@ struct ServiceOptions {
     double retryBackoffMs = 0.0;
     /** QoR store path (HIDA_QOR_STORE; "" = in-memory memo only). */
     std::string storePath;
-    /** HIDA_DSE_ORDER, validated at startup. The executor does not
-     * read it: a request walks the order of its own
-     * StrategyOptions::order. */
+    /** Empty placeholder (see SweepSchedule), kept only because the
+     * repo benchmark's service driver assigns it; nothing reads it. */
     SweepSchedule schedule;
     TargetDevice device = TargetDevice::pynqZ2();
 
@@ -255,8 +255,6 @@ class DseService {
     /** Resolved executor-lane count (auto already applied). */
     unsigned concurrency() const { return options_.concurrency; }
     QorStore::Stats storeStats() const { return store_.stats(); }
-    /** The service-level cancel token (chained to the process one). */
-    CancelToken& cancelToken() { return cancel_; }
 
   private:
     /** One entry per session key, kept for the life of the service.
@@ -274,6 +272,14 @@ class DseService {
         std::optional<Diagnostic> buildDiag;  ///< Prototype rejected.
         std::mutex mutex;
         std::vector<std::shared_ptr<CloneSweepWorker>> idle;
+    };
+
+    /** One request's own store traffic, counted in evaluatePoint by its
+     * sweep workers and its retry loop. A delta of the service-wide
+     * store stats would also count other lanes' requests. */
+    struct PointTally {
+        std::atomic<size_t> storeHits{0};
+        std::atomic<size_t> evaluated{0};
     };
 
     struct Pending {
@@ -302,7 +308,8 @@ class DseService {
                                        CloneSweepWorker& worker,
                                        const DesignPointGrid& grid,
                                        size_t index,
-                                       const std::vector<int64_t>& values);
+                                       const std::vector<int64_t>& values,
+                                       PointTally& tally);
     /** The one backoff rule of both retry loops: sleep this lane for
      * retryBackoffMs * 2^(attempt-1) in slices of at most 50 ms,
      * returning early once cancel_ is cancelled (shutdown, or a signal

@@ -51,16 +51,14 @@ qorEq(const DesignQor& a, const DesignQor& b)
            a.res.ff == b.res.ff;
 }
 
-/** Exhaustive runStrategySweep of @p grid in @p order. */
+/** Exhaustive runStrategySweep of @p grid (the Gray walk). */
 StrategyOutcome<DesignQor>
 exhaustiveSweep(const DesignPointGrid& grid,
                 const std::function<ResilientWorker<DesignQor>()>& factory,
-                unsigned threads, const SweepLimits& limits = SweepLimits(),
-                PointOrder order = PointOrder::kGrayCode)
+                unsigned threads, const SweepLimits& limits = SweepLimits())
 {
-    StrategyOptions options;
-    options.order = order;
-    std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, options);
+    std::unique_ptr<SearchStrategy> strategy =
+        makeStrategy(grid, StrategyOptions());
     return runStrategySweep<DesignQor>(
         grid, *strategy, factory,
         [](size_t index, const DesignQor&) {
@@ -127,10 +125,9 @@ struct LeNetSweep {
     }
 
     StrategyOutcome<DesignQor>
-    run(unsigned threads, const SweepLimits& limits = SweepLimits(),
-        PointOrder order = PointOrder::kGrayCode)
+    run(unsigned threads, const SweepLimits& limits = SweepLimits())
     {
-        return exhaustiveSweep(grid, factory(), threads, limits, order);
+        return exhaustiveSweep(grid, factory(), threads, limits);
     }
 };
 
@@ -497,7 +494,7 @@ TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
         SweepLimits limits;
         limits.pointBudget = 12;
         limits.checkpoint = &checkpoint;
-        StrategyOutcome<DesignQor> outcome = s.run(2, limits, PointOrder::kGrayCode);
+        StrategyOutcome<DesignQor> outcome = s.run(2, limits);
         EXPECT_TRUE(outcome.stats.stopped);
         // The budget is exact even with workers racing for points.
         EXPECT_EQ(outcome.stats.evaluated, 12u);
@@ -509,7 +506,7 @@ TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
         EXPECT_EQ(checkpoint.size(), 12u);
         SweepLimits limits;
         limits.checkpoint = &checkpoint;
-        StrategyOutcome<DesignQor> outcome = s.run(4, limits, PointOrder::kGrayCode);
+        StrategyOutcome<DesignQor> outcome = s.run(4, limits);
         EXPECT_TRUE(outcome.allCompleted());
         EXPECT_FALSE(outcome.stats.stopped);
         EXPECT_EQ(outcome.stats.restored, 12u);

@@ -3,13 +3,14 @@
  * Concurrency tests for the thread-safe IR core and the DSE sweep
  * engine (src/dse/, runStrategySweep).
  *
- *  - Grid mechanics: deterministic row-major enumeration and decode.
+ *  - Grid mechanics: deterministic row-major enumeration and decode,
+ *    and the Gray visit order as a single-step bijection.
  *  - Work distribution: every point is claimed exactly once at any
  *    worker count, also when one worker dies in its init.
- *  - Parallel-vs-serial equivalence: a LeNet factor sweep run at
- *    1/2/4/8 workers, in either point order, must produce *identical*
- *    per-point QoR (latency, interval, every resource column) and
- *    identical Pareto fronts to a plain serial loop — the invariant
+ *  - Parallel-vs-serial equivalence: a Gray-order LeNet factor sweep
+ *    run at 1/2/4/8 workers must produce *identical* per-point QoR
+ *    (latency, interval, every resource column) and identical Pareto
+ *    fronts to a plain serial loop in grid-index order — the invariant
  *    behind the benches' stable output_sha256 at any
  *    HIDA_BENCH_THREADS.
  *  - Interner / type-uniquer hammers: N threads interning overlapping
@@ -58,15 +59,17 @@ TEST(GridTest, RowMajorEnumerationMatchesNestedLoops)
     grid.addAxis("c", {7});
     ASSERT_EQ(grid.size(), 6u);
     ASSERT_EQ(grid.numAxes(), 3u);
-    EXPECT_EQ(grid.axisIndex("b"), 1u);
 
     // Axis 0 slowest — exactly the order of `for a { for b { for c }}`.
     std::vector<std::vector<int64_t>> expected;
     for (int64_t a : {1, 2})
         for (int64_t b : {10, 20, 30})
             expected.push_back({a, b, 7});
-    for (size_t i = 0; i < grid.size(); ++i)
-        EXPECT_EQ(grid.point(i), expected[i]) << "point " << i;
+    std::vector<int64_t> values;
+    for (size_t i = 0; i < grid.size(); ++i) {
+        grid.decode(i, values);
+        EXPECT_EQ(values, expected[i]) << "point " << i;
+    }
 }
 
 TEST(GridTest, GrayCodeOrderIsASingleStepBijection)
@@ -74,7 +77,7 @@ TEST(GridTest, GrayCodeOrderIsASingleStepBijection)
     // Mixed radices, including a degenerate axis: the reflected Gray
     // code must visit every index exactly once, and consecutive
     // positions must differ in exactly one axis by exactly one value
-    // step — rollovers included (the row-major order fails this at
+    // step — rollovers included (a grid-index walk fails this at
     // every rollover).
     DesignPointGrid grid;
     grid.addAxis("a", {1, 2});
@@ -85,7 +88,7 @@ TEST(GridTest, GrayCodeOrderIsASingleStepBijection)
     std::vector<uint8_t> seen(grid.size(), 0);
     std::vector<size_t> prev, cur;
     for (size_t pos = 0; pos < grid.size(); ++pos) {
-        size_t index = grid.orderedIndex(pos, PointOrder::kGrayCode);
+        size_t index = grid.grayIndex(pos);
         ASSERT_LT(index, grid.size());
         EXPECT_FALSE(seen[index]) << "index " << index << " repeated";
         seen[index] = 1;
@@ -104,53 +107,24 @@ TEST(GridTest, GrayCodeOrderIsASingleStepBijection)
             EXPECT_EQ(step, 1u) << "position " << pos;
         }
         prev = cur;
-
-        // Row-major is the identity.
-        EXPECT_EQ(grid.orderedIndex(pos, PointOrder::kRowMajor), pos);
     }
     for (size_t i = 0; i < seen.size(); ++i)
         EXPECT_TRUE(seen[i]) << "index " << i << " never visited";
-}
-
-TEST(GridTest, OrderParseRoundTrips)
-{
-    EXPECT_EQ(parsePointOrder("gray"), PointOrder::kGrayCode);
-    EXPECT_EQ(parsePointOrder("row-major"), PointOrder::kRowMajor);
-    EXPECT_EQ(parsePointOrder("zorder"), std::nullopt);
-    EXPECT_EQ(parsePointOrder(""), std::nullopt);
-    EXPECT_EQ(pointOrderName(PointOrder::kGrayCode), "gray");
-    EXPECT_EQ(pointOrderName(PointOrder::kRowMajor), "row-major");
-
-    // Env: unset keeps the fast-path default; an explicit value sticks;
-    // garbage is a fatal user error (exit 65, never a silent default).
-    unsetenv("HIDA_DSE_ORDER");
-    EXPECT_EQ(sweepScheduleFromEnv().order, PointOrder::kGrayCode);
-
-    setenv("HIDA_DSE_ORDER", "row-major", 1);
-    EXPECT_EQ(sweepScheduleFromEnv().order, PointOrder::kRowMajor);
-    unsetenv("HIDA_DSE_ORDER");
-
-    setenv("HIDA_DSE_ORDER", "zorder", 1);
-    EXPECT_EXIT(sweepScheduleFromEnv(),
-                ::testing::ExitedWithCode(kFatalExitCode),
-                "invalid HIDA_DSE_ORDER");
-    unsetenv("HIDA_DSE_ORDER");
 }
 
 //===----------------------------------------------------------------------===//
 // Sweep engine: work distribution and parallel == serial
 //===----------------------------------------------------------------------===//
 
-/** Exhaustive runStrategySweep of @p grid in @p order. */
+/** Exhaustive runStrategySweep of @p grid (the Gray walk). */
 template <typename R>
 StrategyOutcome<R>
 exhaustiveSweep(const DesignPointGrid& grid,
                 const std::function<ResilientWorker<R>()>& factory,
-                unsigned threads, PointOrder order = PointOrder::kGrayCode)
+                unsigned threads)
 {
-    StrategyOptions options;
-    options.order = order;
-    std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, options);
+    std::unique_ptr<SearchStrategy> strategy =
+        makeStrategy(grid, StrategyOptions());
     return runStrategySweep<R>(
         grid, *strategy, factory,
         [](size_t index, const R&) { return ParetoSample{index, 0.0, 0.0}; },
@@ -271,10 +245,10 @@ TEST(SweepEngineTest, ThreadCountNeverChangesResults)
         }
     }
 
-    // Every {order} x {threads} sweep (the same CloneSweepWorker recipe
-    // the fig1 bench runs) must reproduce it exactly: results merge by
-    // grid index, so neither the visit order nor which worker lands on
-    // a point may leak into the output.
+    // Every Gray sweep, at any thread count (the same CloneSweepWorker
+    // recipe the fig1 bench runs), must reproduce it exactly: results
+    // merge by grid index, so neither the visit order nor which worker
+    // lands on a point may leak into the output.
     std::function<ResilientWorker<DesignQor>()> factory = [&]() {
         auto w = std::make_shared<CloneSweepWorker>(
             prototype.get(), createArrayPartitionPass(partition_options),
@@ -285,19 +259,16 @@ TEST(SweepEngineTest, ThreadCountNeverChangesResults)
         worker.recover = [w]() { w->rebuild(); };
         return worker;
     };
-    for (PointOrder order : {PointOrder::kRowMajor, PointOrder::kGrayCode}) {
-        for (unsigned threads : {1u, 2u, 4u, 8u}) {
-            StrategyOutcome<DesignQor> outcome =
-                exhaustiveSweep<DesignQor>(grid, factory, threads, order);
-            ASSERT_TRUE(outcome.allCompleted());
-            for (size_t i = 0; i < serial.size(); ++i)
-                EXPECT_TRUE(qorEq(serial[i], outcome.results[i]))
-                    << "point " << i << " diverged at threads=" << threads
-                    << " order=" << pointOrderName(order);
-            EXPECT_EQ(paretoFront(serial, device),
-                      paretoFront(outcome.results, device))
-                << "Pareto front diverged at threads=" << threads;
-        }
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        StrategyOutcome<DesignQor> outcome =
+            exhaustiveSweep<DesignQor>(grid, factory, threads);
+        ASSERT_TRUE(outcome.allCompleted());
+        for (size_t i = 0; i < serial.size(); ++i)
+            EXPECT_TRUE(qorEq(serial[i], outcome.results[i]))
+                << "point " << i << " diverged at threads=" << threads;
+        EXPECT_EQ(paretoFront(serial, device),
+                  paretoFront(outcome.results, device))
+            << "Pareto front diverged at threads=" << threads;
     }
 }
 

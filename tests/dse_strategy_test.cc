@@ -235,21 +235,12 @@ TEST(RandomTest, BudgetedUniqueInRange)
 TEST(ExhaustiveTest, ProposesWholeGridOnce)
 {
     DesignPointGrid grid = syntheticGrid();
-    StrategyOptions options;  // Defaults to exhaustive, gray order.
+    StrategyOptions options;  // Defaults to exhaustive.
     std::unique_ptr<SearchStrategy> exhaustive = makeStrategy(grid, options);
     std::vector<size_t> proposed = drain(*exhaustive);
     ASSERT_EQ(proposed.size(), grid.size());
     for (size_t pos = 0; pos < proposed.size(); ++pos)
-        EXPECT_EQ(proposed[pos],
-                  grid.orderedIndex(pos, PointOrder::kGrayCode));
-
-    // Explicit row-major reproduces the historical identity order.
-    options.order = PointOrder::kRowMajor;
-    std::unique_ptr<SearchStrategy> row_major = makeStrategy(grid, options);
-    std::vector<size_t> row_proposed = drain(*row_major);
-    ASSERT_EQ(row_proposed.size(), grid.size());
-    for (size_t i = 0; i < row_proposed.size(); ++i)
-        EXPECT_EQ(row_proposed[i], i);  // Grid order: shard-compatible.
+        EXPECT_EQ(proposed[pos], grid.grayIndex(pos));
 }
 
 //===----------------------------------------------------------------------===//
@@ -499,7 +490,7 @@ TEST(EvolveAcceptanceTest, RecoversLenetParetoFrontAtTenPercentBudget)
 }
 
 //===----------------------------------------------------------------------===//
-// Gray-code ordering vs row-major on the full fig1 grid
+// Gray-code ordering vs a grid-index walk on the full fig1 grid
 //===----------------------------------------------------------------------===//
 
 TEST(OrderingTest, GrayCodeOrderingCutsRehashTrafficOverRowMajor)
@@ -507,8 +498,9 @@ TEST(OrderingTest, GrayCodeOrderingCutsRehashTrafficOverRowMajor)
     // The full fig1 LeNet factor grid (2400 points), batch 1, no
     // dataflow — the grid the tentpole claim is about: a Gray-code walk
     // mutates exactly one directive per step, so each point dirties
-    // (and re-hashes) strictly fewer subtrees than the row-major walk,
-    // whose axis rollovers rewrite several directives at once.
+    // (and re-hashes) strictly fewer subtrees than a grid-index
+    // (row-major) walk, whose axis rollovers rewrite several directives
+    // at once.
     TargetDevice device = TargetDevice::pynqZ2();
     OwnedModule prototype = buildLeNet(1);
     FlowOptions options = optionsFor(Flow::kVitis);
@@ -542,44 +534,57 @@ TEST(OrderingTest, GrayCodeOrderingCutsRehashTrafficOverRowMajor)
                             q.throughput(device)};
     };
 
-    // Serial exhaustive sweeps: one worker walking the whole grid in
-    // each order, so the cache counters measure the ordering alone
-    // (point-to-worker assignment and timing play no part).
-    auto sweep = [&](PointOrder order) {
-        StrategyOptions so;
-        so.order = order;
-        std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, so);
-        return runStrategySweep<DesignQor>(grid, *strategy, factory,
-                                           objective, 1);
-    };
-    StrategyOutcome<DesignQor> gray = sweep(PointOrder::kGrayCode);
-    StrategyOutcome<DesignQor> row = sweep(PointOrder::kRowMajor);
+    // Both walks run on this thread: the 1-worker sweep runs inline, so
+    // each walk starts from zeroed thread-local hash counters and the
+    // cache counters measure the visit order alone (point-to-worker
+    // assignment and timing play no part).
+    Operation::resetSubtreeHashStats();
+    std::unique_ptr<SearchStrategy> strategy =
+        makeStrategy(grid, StrategyOptions());
+    StrategyOutcome<DesignQor> gray = runStrategySweep<DesignQor>(
+        grid, *strategy, factory, objective, 1);
+    const QorCacheStats gray_cache = gray.stats.cache;
 
-    // The ordering never changes the output: every point completed and
-    // bit-identical QoR per grid index.
-    ASSERT_EQ(gray.completed, row.completed);
+    // The reference: a serial loop over a fresh worker in grid-index
+    // order.
+    Operation::resetSubtreeHashStats();
+    std::vector<DesignQor> row;
+    QorCacheStats row_cache;
+    {
+        CloneSweepWorker worker(prototype.get(),
+                                createArrayPartitionPass(partition), device);
+        std::vector<int64_t> vals;
+        for (size_t i = 0; i < grid.size(); ++i) {
+            grid.decode(i, vals);
+            Result<DesignQor> qor = worker.evaluateChecked(grid, vals);
+            ASSERT_TRUE(qor.ok()) << "point " << i;
+            row.push_back(qor.value());
+        }
+        row_cache = worker.estimator.cacheStats();
+    }
+
+    // The visit order never changes the output: every point completed
+    // and bit-identical QoR per grid index.
     EXPECT_TRUE(gray.failures.empty());
     for (size_t i = 0; i < grid.size(); ++i) {
         ASSERT_TRUE(gray.completed[i]);
-        ASSERT_EQ(std::memcmp(&gray.results[i], &row.results[i],
-                              sizeof(DesignQor)),
+        ASSERT_EQ(std::memcmp(&gray.results[i], &row[i], sizeof(DesignQor)),
                   0)
-            << "point " << i << " diverged between orderings";
+            << "point " << i << " diverged between visit orders";
     }
 
-    // The tentpole claim. The node-estimate memo never evicts, so its
-    // hit *count* is order-independent (hits = lookups - distinct
-    // subtree fingerprints) — assert that equality as the output-
-    // invariance witness. Where the ordering pays off is invalidation
-    // traffic: a Gray step rewrites exactly one directive, so strictly
-    // fewer subtrees are dirtied and re-hashed than under row-major's
-    // multi-axis rollovers (both sweeps are deterministic, so strict
-    // inequality is stable).
-    EXPECT_EQ(gray.stats.cache.hits + gray.stats.cache.misses,
-              row.stats.cache.hits + row.stats.cache.misses);
-    EXPECT_EQ(gray.stats.cache.hits, row.stats.cache.hits);
-    EXPECT_LT(gray.stats.cache.hashRecomputes,
-              row.stats.cache.hashRecomputes);
+    // The payoff of the Gray order. The node-estimate memo never
+    // evicts, so its hit *count* is order-independent (hits = lookups -
+    // distinct subtree fingerprints) — assert that equality as the
+    // output-invariance witness. Where the order pays off is
+    // invalidation traffic: a Gray step rewrites exactly one directive,
+    // so strictly fewer subtrees are dirtied and re-hashed than under
+    // the grid-index walk's multi-axis rollovers (both walks are
+    // deterministic, so strict inequality is stable).
+    EXPECT_EQ(gray_cache.hits + gray_cache.misses,
+              row_cache.hits + row_cache.misses);
+    EXPECT_EQ(gray_cache.hits, row_cache.hits);
+    EXPECT_LT(gray_cache.hashRecomputes, row_cache.hashRecomputes);
 }
 
 //===----------------------------------------------------------------------===//
@@ -606,18 +611,11 @@ TEST(StrategyEnvTest, ParsesKindSeedAndBudget)
     unsetenv("HIDA_DSE_SEED");
     unsetenv("HIDA_DSE_BUDGET");
 
-    // Defaults: exhaustive, seed 42, budget 0 (= 10% of the grid),
-    // gray order.
+    // Defaults: exhaustive, seed 42, budget 0 (= 10% of the grid).
     StrategyOptions defaults = strategyOptionsFromEnv();
     EXPECT_EQ(defaults.kind, StrategyKind::kExhaustive);
     EXPECT_EQ(defaults.seed, 42u);
     EXPECT_EQ(defaults.budget, 0u);
-    EXPECT_EQ(defaults.order, PointOrder::kGrayCode);
-
-    // HIDA_DSE_ORDER reaches the exhaustive strategy's options.
-    setenv("HIDA_DSE_ORDER", "row-major", 1);
-    EXPECT_EQ(strategyOptionsFromEnv().order, PointOrder::kRowMajor);
-    unsetenv("HIDA_DSE_ORDER");
 }
 
 TEST(StrategyEnvTest, UnknownStrategyIsFatalUserError)

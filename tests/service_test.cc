@@ -20,7 +20,10 @@
  *    keeps a chatty tenant from starving a light one, and a
  *    backing-off request holds only its own executor lane.
  *  - Backoff: one rule for point- and request-level retries — waits on
- *    the owning lane, never past the request's deadline or a shutdown.
+ *    the owning lane, never past the request's deadline or a shutdown;
+ *    a retry schedule cut short by either answers partial.
+ *  - Accounting: storeHits/evaluated count the request's own points,
+ *    whatever the other lanes do.
  */
 
 #include <gtest/gtest.h>
@@ -754,7 +757,7 @@ TEST_F(ServiceTest, BackoffNeverOutlivesTheDeadline)
 {
     // Every point faults; the first point-level backoff (1s) would end
     // long after the 0.3s deadline. The wait is cut at the deadline and
-    // no retry follows it.
+    // no retry follows it: the request is partial, not completed.
     ServiceOptions options;
     options.concurrency = 1;
     options.maxRetries = 2;
@@ -775,12 +778,15 @@ TEST_F(ServiceTest, BackoffNeverOutlivesTheDeadline)
     setFaultConfig(FaultConfig());
     EXPECT_LT(response.queueSeconds + response.runSeconds, 0.9);
     EXPECT_EQ(response.pointRetries, 0u);
+    EXPECT_EQ(response.status, RequestStatus::kPartial);
+    EXPECT_EQ(response.diag.code, ErrorCode::kDeadlineExceeded);
 }
 
 TEST_F(ServiceTest, ShutdownCutsAPointBackoffShort)
 {
     // Every point faults and the first point-level backoff is a minute
-    // long; shutdown must end it at once, not after the minute.
+    // long; shutdown must end it at once, not after the minute, and
+    // the request is answered partial with shutdown.
     ServiceOptions options;
     options.concurrency = 1;
     options.maxRetries = 2;
@@ -800,6 +806,8 @@ TEST_F(ServiceTest, ShutdownCutsAPointBackoffShort)
     EXPECT_LT(secondsSince(start), 5.0);
     EXPECT_EQ(response.failures.size(), 8u);
     EXPECT_EQ(response.pointRetries, 0u);
+    EXPECT_EQ(response.status, RequestStatus::kPartial);
+    EXPECT_EQ(response.diag.code, ErrorCode::kShutdown);
 }
 
 TEST_F(ServiceTest, WeightedFairQueuingPreventsStarvation)
@@ -864,6 +872,35 @@ TEST_F(ServiceTest, ConcurrentRequestsShareTheLanes)
     // Identical sweeps take long enough that at least two of the four
     // lanes must have overlapped.
     EXPECT_GE(stats.maxInFlight, 2u);
+}
+
+TEST_F(ServiceTest, StoreCountersArePerRequest)
+{
+    // Concurrent requests on one warmed grid: each response counts only
+    // its own store traffic. A delta of the service-wide store stats
+    // would also count the other lanes' hits.
+    ServiceOptions options;
+    options.concurrency = 4;
+    options.sweepThreads = 1;
+    DseService service(options);
+    ServiceRequest request = smallRequest();
+    request.grid = bigGrid();
+    const size_t points = request.grid.size();
+    ServiceResponse warm = service.wait(service.submit(request));
+    ASSERT_EQ(warm.status, RequestStatus::kCompleted) << warm.diag.message;
+    EXPECT_EQ(warm.evaluated, points);
+    EXPECT_EQ(warm.storeHits, 0u);
+
+    std::vector<uint64_t> ids;
+    for (int i = 0; i < 8; ++i)
+        ids.push_back(service.submit(request));
+    for (uint64_t id : ids) {
+        ServiceResponse response = service.wait(id);
+        ASSERT_EQ(response.status, RequestStatus::kCompleted)
+            << response.diag.message;
+        EXPECT_EQ(response.storeHits, points) << "request " << id;
+        EXPECT_EQ(response.evaluated, 0u) << "request " << id;
+    }
 }
 
 TEST_F(ServiceTest, ResponsesAreBitIdenticalAcrossConcurrency)
